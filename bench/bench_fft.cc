@@ -2,23 +2,24 @@
 // Prices the engine's two headline claims on a steady paper workload:
 //
 //   fft_field_build          cost of one whole-plane answer as the raster
-//                            resolution m grows: rasterize + forward
-//                            transform (field_ms), spectral block sums +
-//                            classification (classify_ms), and the cost of
-//                            a second query against the cached field. The
-//                            transform is O(M^2 log M) with M = 2^ceil(log2
-//                            2m), so doubling m should roughly quadruple
-//                            field_ms while the cached query stays flat.
+//                            resolution m grows: rasterize + summed-area
+//                            table (field_ms), block sums for the two
+//                            half-widths + classification + both regions
+//                            (classify_ms), and the cost of a second query
+//                            against the cached field. The field is
+//                            O(n + m^2) for n objects and each distinct
+//                            half-width O(m^2).
 //   fft_batch_amortization   per-query cost of answering N (rho, l) pairs
 //                            against one tick's field via QueryBatch: one
-//                            transform regardless of N, so per-query cost
+//                            field regardless of N, so per-query cost
 //                            should fall toward the pure classification
 //                            cost as N grows. fields_built counts the
-//                            transforms actually run (always 1 per row).
+//                            fields actually built (always 1 per row).
 //
-// Expected shapes: field_ms grows ~4x per grid doubling; cached_ms and
-// per_query_ms sit well under the fresh-field cost; fields_built == 1 in
-// every amortization row.
+// Expected shapes: field_ms stays nearly flat while rasterizing the n
+// objects dominates and then grows like m^2; classify_ms and cached_ms
+// grow ~4x per grid doubling; fields_built == 1 in every amortization
+// row.
 
 #include <cstdio>
 #include <vector>
@@ -93,8 +94,10 @@ int main(int argc, char** argv) {
   amortized.Flush();
 
   std::printf(
-      "\nExpected: field_ms grows ~4x per grid doubling while cached_ms "
-      "stays flat; every amortization row builds exactly one field, so "
-      "per_query_ms falls toward the classification floor as N grows.\n");
+      "\nExpected: field_ms is O(n + m^2), flat until the m^2 table "
+      "outweighs rasterizing; classify_ms and cached_ms are O(m^2), ~4x "
+      "per grid doubling; every amortization row builds exactly one "
+      "field, so per_query_ms falls toward the classification floor as N "
+      "grows.\n");
   return 0;
 }

@@ -14,9 +14,11 @@
 # (scripts/check_overhead.sh: the recorder-on end-to-end query probe
 # must stay within 3% of recorder-off), and the workload-replay lane
 # (scripts/check_replay.sh: capture determinism, fixture goldens, the
-# recording-overhead gate, and the replay-bench p99 regression gate).
-# Uses its own build trees (build-check/, build-asan/, build-tsan/) so it
-# never clobbers an existing build/.
+# recording-overhead gate, and the replay-bench p99 regression gate),
+# and the serving benchmark's smoke test (perfbench/smoke_test.py: every
+# workload at a tiny scale, untraced and traced, answer checks included).
+# Uses its own build trees (build-check/, build-asan/, build-tsan/,
+# build-bench/) so it never clobbers an existing build/.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 
@@ -48,7 +50,7 @@ EXTRA_CTEST_ARGS=("$@")
 # buffer pool's read phase, or cross-thread tracing. TSan runs ~10x slower,
 # so the single-threaded math/geometry suites are skipped there (ASan
 # covers them above). The FFT lanes (FftTest, FftMetamorphicTest) are
-# single-threaded spectral math and stay out for the same reason;
+# single-threaded block-sum math and stay out for the same reason;
 # DifferentialTest — which drives the FFT rung against exact FR at
 # 1/2/4/8 threads — is in, so the rung's parallel surface is covered.
 tsan_filter='^(ThreadPoolTest|DifferentialTest|DeterminismTest|BufferPoolTest|PagerTest|IoStatsTest|FrEngineTest|PaEngineTest|PdrMonitorTest|ObsTest|FlightRecorderTest|SloMonitorTest|ResilienceTest|ResilienceSoakTest|MvccInterleaveTest|MvccSoakTest)'
@@ -105,5 +107,11 @@ fi
 # within 3%), and the replay-bench p99 regression gate against
 # BENCH_baseline.json (scripts/check_replay.sh).
 "${repo}/scripts/check_replay.sh" --build "${repo}/build-check"
+
+# Benchmark smoke test: the serving benchmark compiles the library sources
+# into its own tree, so a src/ change that breaks its build, its metric
+# set, or its answer checks fails here rather than in a benchmark run.
+echo "==== benchmark smoke test (build-bench) ===="
+(cd "${repo}" && CARGO_TARGET_DIR=build-bench python3 perfbench/smoke_test.py)
 
 echo "==== all checks passed ===="

@@ -28,7 +28,7 @@
 #      rung's tier stamps, its answer transcripts, and the trailing
 #      has_fft/fft_grid header fields across PRs. Lane 1 additionally
 #      re-captures an FFT-rung run fresh each time and verifies it at
-#      1/4 threads (the spectral path is single-threaded by design; the
+#      1/4 threads (the block-sum path is single-threaded by design; the
 #      exact-FR machinery around it is not).
 #   3. Recording overhead — bench_micro's BM_MonitorTick vs
 #      BM_MonitorTickRecorded probe pair: many short interleaved
@@ -109,7 +109,8 @@ for threads in 1 4; do
   echo "  concurrent threads=${threads}: bit-identical"
 done
 # And for a fresh capture with the FFT rung pinned: the whole-plane
-# transform must answer every tick (tier=4) with thread-invariant digests.
+# block-sum engine must answer every tick (tier=4) with thread-invariant
+# digests.
 "${tool}" record --in "${tmpdir}/fresh.pdrd" --log "${tmpdir}/fresh_fft.wlog" \
     --varrho 3 --l 30 --lookahead 4 --every 2 --fft-grid 128 >/dev/null
 for threads in 1 4; do
@@ -163,7 +164,7 @@ fi
 grep '^digest' "${tmpdir}/fft_fixture.digests" >"${tmpdir}/fft_got.digests"
 if ! diff -u "${fft_golden}" "${tmpdir}/fft_got.digests"; then
   fail "FFT-rung fixture digests diverge from ${fft_golden} —" \
-       "spectral answers changed (regenerate the pair if intentional)"
+       "FFT-rung answers changed (regenerate the pair if intentional)"
 fi
 grep -vq 'tier=4' "${tmpdir}/fft_got.digests" \
     && fail "FFT-rung fixture contains a non-fft tier stamp"

@@ -70,6 +70,19 @@ class ActiveIntervals {
   std::map<std::pair<double, double>, int> intervals_;
 };
 
+// Applies every event at coordinate `x` from events[*i] on, advancing *i.
+void ApplyEventsAt(const std::vector<XEvent>& events, double x, size_t* i,
+                   ActiveIntervals* active) {
+  for (; *i < events.size() && events[*i].x == x; ++*i) {
+    const XEvent& e = events[*i];
+    if (e.open) {
+      active->Add(e.y_lo, e.y_hi);
+    } else {
+      active->Remove(e.y_lo, e.y_hi);
+    }
+  }
+}
+
 double MergedOverlapLength(const std::vector<std::pair<double, double>>& a,
                            const std::vector<std::pair<double, double>>& b) {
   double len = 0;
@@ -125,63 +138,48 @@ Region Region::ClippedTo(const Rect& window) const {
 }
 
 Region Region::Coalesced() const {
-  if (rects_.empty()) return Region();
-  // Slab decomposition: cut the plane at every rectangle x-edge, compute the
-  // merged y-union per slab, then extend rectangles rightward across slabs
-  // whose y-union repeats.
-  std::vector<XEvent> events = BuildEvents(rects_);
+  // Slab decomposition: cut the plane at every rectangle x-edge and stitch
+  // each slab's merged y-union onto the slabs to its left.
+  const std::vector<XEvent> events = BuildEvents(rects_);
   ActiveIntervals active;
-
-  struct OpenRect {
-    double x_start;
-    double y_lo;
-    double y_hi;
-  };
-  std::vector<OpenRect> open;  // rects still extending rightward
-  Region out;
-
+  SlabStitcher stitcher;
   size_t i = 0;
   while (i < events.size()) {
     const double x = events[i].x;
-    while (i < events.size() && events[i].x == x) {
-      if (events[i].open) {
-        active.Add(events[i].y_lo, events[i].y_hi);
-      } else {
-        active.Remove(events[i].y_lo, events[i].y_hi);
-      }
-      ++i;
-    }
-    const auto merged = active.MergedUnion();
-    // Close every open rect whose interval is not exactly present anymore,
-    // keep those that continue, open the new ones.
-    std::vector<OpenRect> still_open;
-    still_open.reserve(merged.size());
-    std::vector<bool> continued(merged.size(), false);
-    for (const OpenRect& o : open) {
-      bool keep = false;
-      for (size_t k = 0; k < merged.size(); ++k) {
-        if (!continued[k] && merged[k].first == o.y_lo &&
-            merged[k].second == o.y_hi) {
-          continued[k] = true;
-          keep = true;
-          break;
-        }
-      }
-      if (keep) {
-        still_open.push_back(o);
-      } else if (x > o.x_start) {
-        out.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
-      }
-    }
-    for (size_t k = 0; k < merged.size(); ++k) {
-      if (!continued[k]) {
-        still_open.push_back({x, merged[k].first, merged[k].second});
-      }
-    }
-    open = std::move(still_open);
+    ApplyEventsAt(events, x, &i, &active);
+    stitcher.Cut(x, active.MergedUnion());
   }
-  assert(open.empty());
-  return out;
+  return stitcher.Take();
+}
+
+void SlabStitcher::Cut(double x, const Intervals& merged) {
+  // Keep every open rect whose interval recurs exactly, close the others,
+  // open the new intervals. Open intervals are distinct and `merged` is
+  // sorted, so each open rect has at most one match, found by bisection.
+  continued_.assign(merged.size(), 0);
+  still_open_.clear();
+  for (const OpenRect& o : open_) {
+    const std::pair<double, double> iv(o.y_lo, o.y_hi);
+    const auto it = std::lower_bound(merged.begin(), merged.end(), iv);
+    const size_t k = static_cast<size_t>(it - merged.begin());
+    if (it != merged.end() && *it == iv && !continued_[k]) {
+      continued_[k] = 1;
+      still_open_.push_back(o);
+    } else if (x > o.x_start) {
+      out_.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
+    }
+  }
+  for (size_t k = 0; k < merged.size(); ++k) {
+    if (!continued_[k]) {
+      still_open_.push_back({x, merged[k].first, merged[k].second});
+    }
+  }
+  open_.swap(still_open_);
+}
+
+Region SlabStitcher::Take() {
+  assert(open_.empty());
+  return std::move(out_);
 }
 
 std::string Region::ToString() const {
@@ -205,14 +203,7 @@ double UnionArea(const std::vector<Rect>& rects) {
   while (i < events.size()) {
     const double x = events[i].x;
     area += active.UnionLength() * (x - prev_x);
-    while (i < events.size() && events[i].x == x) {
-      if (events[i].open) {
-        active.Add(events[i].y_lo, events[i].y_hi);
-      } else {
-        active.Remove(events[i].y_lo, events[i].y_hi);
-      }
-      ++i;
-    }
+    ApplyEventsAt(events, x, &i, &active);
     prev_x = x;
   }
   return area;
@@ -237,22 +228,8 @@ double IntersectionArea(const Region& a, const Region& b) {
                                   active_b.MergedUnion()) *
               (x - prev_x);
     }
-    while (i < ea.size() && ea[i].x == x) {
-      if (ea[i].open) {
-        active_a.Add(ea[i].y_lo, ea[i].y_hi);
-      } else {
-        active_a.Remove(ea[i].y_lo, ea[i].y_hi);
-      }
-      ++i;
-    }
-    while (j < eb.size() && eb[j].x == x) {
-      if (eb[j].open) {
-        active_b.Add(eb[j].y_lo, eb[j].y_hi);
-      } else {
-        active_b.Remove(eb[j].y_lo, eb[j].y_hi);
-      }
-      ++j;
-    }
+    ApplyEventsAt(ea, x, &i, &active_a);
+    ApplyEventsAt(eb, x, &j, &active_b);
     prev_x = x;
   }
   return area;
@@ -327,22 +304,8 @@ Region BooleanCombine(const Region& a, const Region& b,
         out.Add(Rect(prev_x, lo, x, hi));
       }
     }
-    while (i < ea.size() && ea[i].x == x) {
-      if (ea[i].open) {
-        active_a.Add(ea[i].y_lo, ea[i].y_hi);
-      } else {
-        active_a.Remove(ea[i].y_lo, ea[i].y_hi);
-      }
-      ++i;
-    }
-    while (j < eb.size() && eb[j].x == x) {
-      if (eb[j].open) {
-        active_b.Add(eb[j].y_lo, eb[j].y_hi);
-      } else {
-        active_b.Remove(eb[j].y_lo, eb[j].y_hi);
-      }
-      ++j;
-    }
+    ApplyEventsAt(ea, x, &i, &active_a);
+    ApplyEventsAt(eb, x, &j, &active_b);
     prev_x = x;
     have_prev = true;
   }

@@ -15,6 +15,7 @@
 #define PDR_COMMON_REGION_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pdr/common/geometry.h"
@@ -59,6 +60,35 @@ class Region {
 
  private:
   std::vector<Rect> rects_;
+};
+
+/// The stitching step of Region::Coalesced, for callers that already know
+/// each x-slab's y-union (grid cells, column by column). Call Cut at every
+/// slab boundary in increasing x, the last one with an empty union; a
+/// rectangle extends rightward while its y-interval recurs unchanged, and
+/// Take returns the rectangles in the order Coalesced emits them.
+class SlabStitcher {
+ public:
+  using Intervals = std::vector<std::pair<double, double>>;
+
+  /// Starts the slab at `x` whose y-union is `merged` (sorted, disjoint,
+  /// non-touching): open rectangles whose interval is gone close at `x`,
+  /// new intervals open there.
+  void Cut(double x, const Intervals& merged);
+
+  /// The stitched rectangles; every slab must have been closed.
+  Region Take();
+
+ private:
+  struct OpenRect {
+    double x_start;
+    double y_lo;
+    double y_hi;
+  };
+  std::vector<OpenRect> open_;
+  std::vector<OpenRect> still_open_;
+  std::vector<char> continued_;
+  Region out_;
 };
 
 /// Exact area of the union of `rects`.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "pdr/common/stats.h"
-#include "pdr/fft/fft.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 
@@ -15,8 +14,6 @@ struct FftMetrics {
   Counter& queries;
   Counter& fields_built;
   Counter& field_cache_hits;
-  Counter& kernel_builds;
-  Counter& kernel_cache_hits;
   Histogram& field_build_ms;
   Histogram& classify_ms;
 
@@ -25,8 +22,6 @@ struct FftMetrics {
         MetricsRegistry::Global().GetCounter("pdr.fft.queries"),
         MetricsRegistry::Global().GetCounter("pdr.fft.fields_built"),
         MetricsRegistry::Global().GetCounter("pdr.fft.field_cache_hits"),
-        MetricsRegistry::Global().GetCounter("pdr.fft.kernel_builds"),
-        MetricsRegistry::Global().GetCounter("pdr.fft.kernel_cache_hits"),
         MetricsRegistry::Global().GetHistogram("pdr.fft.field_build_ms"),
         MetricsRegistry::Global().GetHistogram("pdr.fft.classify_ms"),
     };
@@ -39,13 +34,12 @@ struct FftMetrics {
 FftDensityEngine::FftDensityEngine(const Options& options)
     : options_(options),
       raster_(options.extent, options.grid),
-      report_grid_(options.extent, options.grid),
-      M_(NextPow2(2 * options.grid)) {}
+      report_grid_(options.extent, options.grid) {}
 
 void FftDensityEngine::AdvanceTo(Tick now) {
   now_ = now;
   // Fields behind the clock can never be queried again (horizon starts at
-  // now); their spectra only hold memory.
+  // now); they only hold memory.
   fields_.erase(fields_.begin(), fields_.lower_bound(now));
 }
 
@@ -65,14 +59,10 @@ FftDensityEngine::Field& FftDensityEngine::FieldFor(Tick q_t,
   }
   Timer timer;
   ctl.Check();  // boundary: about to rasterize
-  const std::vector<double> counts =
+  const std::vector<int64_t> counts =
       RasterizeCounts(raster_, table_.PositionsAt(q_t));
-  int64_t mass = 0;
-  for (const double c : counts) mass += static_cast<int64_t>(c);
-  ctl.Check();  // boundary: rasterized, about to run the forward transform
-  Field field;
-  field.spectrum = ForwardReal2D(counts, options_.grid, M_);
-  field.mass = mass;
+  ctl.Check();  // boundary: rasterized, about to take the prefix sums
+  Field field{SummedAreaTable(counts, options_.grid), {}};
   const double elapsed = timer.ElapsedMillis();
   if (build_ms != nullptr) *build_ms = elapsed;
   FftMetrics& m = FftMetrics::Get();
@@ -83,30 +73,14 @@ FftDensityEngine::Field& FftDensityEngine::FieldFor(Tick q_t,
   return fields_.emplace(q_t, std::move(field)).first->second;
 }
 
-const std::vector<std::complex<double>>& FftDensityEngine::KernelFor(
-    int half_width) {
-  const auto it = kernels_.find(half_width);
-  if (it != kernels_.end()) {
-    FftMetrics::Get().kernel_cache_hits.Increment();
-    return it->second;
-  }
-  FftMetrics::Get().kernel_builds.Increment();
-  return kernels_.emplace(half_width, BoxKernelSpectrum(half_width, M_))
-      .first->second;
-}
-
 const std::vector<int64_t>& FftDensityEngine::SumsFor(Field& field,
                                                       int half_width,
                                                       const QueryControl& ctl) {
   const auto it = field.sums.find(half_width);
   if (it != field.sums.end()) return it->second;
-  ctl.Check();  // boundary: about to run a kernel multiply + inverse
-  double residual = 0.0;
-  std::vector<int64_t> sums =
-      SpectralBlockSums(field.spectrum, KernelFor(half_width), M_,
-                        options_.grid, &residual);
-  if (residual >= 0.5) throw FftRoundoffError(residual);
-  return field.sums.emplace(half_width, std::move(sums)).first->second;
+  ctl.Check();  // boundary: about to sum a new half-width's blocks
+  return field.sums.emplace(half_width, field.counts.BlockSums(half_width))
+      .first->second;
 }
 
 FftDensityEngine::QueryResult FftDensityEngine::Query(Tick q_t, double rho,
@@ -178,7 +152,7 @@ std::vector<int64_t> FftDensityEngine::BlockSums(Tick q_t, int half_width,
 
 int64_t FftDensityEngine::FieldMass(Tick q_t) {
   ValidateHorizon("fft", q_t, now_, options_.horizon);
-  return FieldFor(q_t, QueryControl{}, nullptr).mass;
+  return FieldFor(q_t, QueryControl{}, nullptr).counts.Total();
 }
 
 }  // namespace pdr

@@ -2,13 +2,14 @@
 //
 // Answers PDR queries from the *entire* density field at once: rasterize
 // every live object's predicted position at q_t onto an m x m
-// closed-top/right grid (raster.h), run one forward FFT, and then each
-// (rho, l) pair costs only two spectral multiplies + inverse transforms —
-// O(M^2 log M) once per (tick, q_t), O(M^2 log M) per *distinct* block
-// half-width after that, and O(1) per additional query sharing both. That
-// is the batch amortization a tick with many standing queries needs: the
-// per-query marginal cost is independent of the object count and of how
-// many queries share the field.
+// closed-top/right grid (raster.h) and take its summed-area table, after
+// which every cell's (2h+1)^2 block sum is four lookups. That is O(n + m^2)
+// once per (tick, q_t), O(m^2) per *distinct* block half-width after that,
+// and one classification pass per query sharing both — the batch
+// amortization a tick with many standing queries needs: the per-query
+// marginal cost is independent of the object count and of how many
+// queries share the field. (The engine first computed the same integer
+// block sums by FFT convolution; it keeps the name, see DESIGN.md §15.)
 //
 // Answer semantics (the documented error bound, DESIGN.md §15): with
 // T = MinObjectsForDensity(rho, l) and the conservative / expansive block
@@ -23,20 +24,18 @@
 // measure-zero domain-edge locus raster.h documents; the per-cell count
 // uncertainty is at most E - C, which shrinks as m grows. tests/fft_test.cc
 // asserts the sandwich against exact FR across 200 seeded scenarios and
-// the block sums bit-for-bit against direct convolution.
+// the block sums against naive per-cell summation.
 //
 // Cancellation: an active QueryControl is checked at the engine's work
-// boundaries — query entry, after rasterization / before the forward
-// transform, and before each kernel multiply + inverse — so the
-// degradation ladder can abandon a field build within one transform
-// quantum. Field and kernel spectra are cached (fields per q_t until the
-// next update, kernels per half-width for the engine's lifetime); a
+// boundaries — query entry, after rasterization / before the prefix sums,
+// and before each new half-width's block sums — so the degradation ladder
+// can abandon a field build within one O(m^2) pass. Fields are cached per
+// q_t until the next update, each with its block sums per half-width; a
 // cancelled build leaves no partial cache entry.
 
 #ifndef PDR_FFT_FFT_ENGINE_H_
 #define PDR_FFT_FFT_ENGINE_H_
 
-#include <complex>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -54,9 +53,7 @@ class FftDensityEngine {
  public:
   struct Options {
     double extent = 1000.0;
-    /// Raster resolution m (cells per side). The spectral grid is the
-    /// next power of two >= 2m, so wraparound never reaches the answer
-    /// window for any l.
+    /// Raster resolution m (cells per side).
     int grid = 128;
     Tick horizon = 120;  ///< H = U + W, same contract as the other engines
   };
@@ -67,9 +64,9 @@ class FftDensityEngine {
     int64_t accepted_cells = 0;
     int64_t rejected_cells = 0;
     int64_t candidate_cells = 0;
-    double field_ms = 0.0;     ///< rasterize + forward FFT (0 on cache hit)
-    double classify_ms = 0.0;  ///< kernel passes + classification
-    bool field_cached = false; ///< the field spectrum was already built
+    double field_ms = 0.0;     ///< rasterize + prefix sums (0 on cache hit)
+    double classify_ms = 0.0;  ///< block sums + classification + regions
+    bool field_cached = false; ///< the field was already built
     int grid = 0;              ///< m this answer was computed at
   };
 
@@ -87,15 +84,13 @@ class FftDensityEngine {
   Tick now() const { return now_; }
 
   /// Applies one update (same stream as the FR engine); invalidates every
-  /// cached field spectrum.
+  /// cached field.
   void Apply(const UpdateEvent& update);
 
   size_t live_objects() const { return table_.size(); }
 
-  /// One snapshot query. Throws HorizonError outside [now, now + H],
-  /// CancelledError at a work boundary when `ctl` fired, and
-  /// FftRoundoffError if the integer-rounding margin is ever exceeded
-  /// (no supported geometry reaches it).
+  /// One snapshot query. Throws HorizonError outside [now, now + H] and
+  /// CancelledError at a work boundary when `ctl` fired.
   QueryResult Query(Tick q_t, double rho, double l,
                     const QueryControl& ctl = {});
 
@@ -106,9 +101,9 @@ class FftDensityEngine {
                                       const std::vector<BatchQuery>& queries,
                                       const QueryControl& ctl = {});
 
-  /// Block sums over the (2h+1)^2 neighborhood for every cell at q_t,
-  /// computed spectrally (exposed for the metamorphic/differential
-  /// tests). h is clamped to m - 1, past which blocks cover the grid.
+  /// Block sums over the (2h+1)^2 neighborhood for every cell at q_t
+  /// (exposed for the metamorphic/differential tests). h is clamped to
+  /// m - 1, past which blocks cover the grid.
   std::vector<int64_t> BlockSums(Tick q_t, int half_width,
                                  const QueryControl& ctl = {});
 
@@ -118,25 +113,21 @@ class FftDensityEngine {
 
  private:
   struct Field {
-    std::vector<std::complex<double>> spectrum;  ///< M x M forward transform
-    int64_t mass = 0;
-    /// Block sums already inverted for this field, keyed by half-width.
+    SummedAreaTable counts;  ///< prefix sums of the raster counts
+    /// Block sums already computed for this field, keyed by half-width.
     std::map<int, std::vector<int64_t>> sums;
   };
 
   Field& FieldFor(Tick q_t, const QueryControl& ctl, double* build_ms);
   const std::vector<int64_t>& SumsFor(Field& field, int half_width,
                                       const QueryControl& ctl);
-  const std::vector<std::complex<double>>& KernelFor(int half_width);
 
   Options options_;
   RasterGrid raster_;
   Grid report_grid_;  ///< half-open cells for Region output (area-identical)
-  int M_;             ///< spectral side: NextPow2(2 * grid)
   Tick now_ = 0;
   ObjectTable table_;
   std::map<Tick, Field> fields_;
-  std::map<int, std::vector<std::complex<double>>> kernels_;
 };
 
 }  // namespace pdr

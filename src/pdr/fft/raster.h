@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "pdr/common/geometry.h"
@@ -80,10 +81,10 @@ class RasterGrid {
 /// Rasterizes predicted positions onto the grid: one count per object
 /// whose position lies in the closed domain [0, extent]^2 (out-of-domain
 /// objects are dropped, matching Oracle::InDomainPositions). Returns the
-/// m x m row-major count image as doubles (FFT input); every entry is a
-/// non-negative integer and their sum is the in-domain object count.
-std::vector<double> RasterizeCounts(const RasterGrid& grid,
-                                    const std::vector<Vec2>& positions);
+/// m x m row-major count image; the counts sum to the in-domain object
+/// count.
+std::vector<int64_t> RasterizeCounts(const RasterGrid& grid,
+                                     const std::vector<Vec2>& positions);
 
 }  // namespace pdr
 

@@ -1,43 +1,20 @@
 #include "pdr/histogram/filter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace pdr {
-namespace {
 
-/// Inclusive 2-D prefix sums: sums[(r+1)*(m+1) + (c+1)] = sum of cells
-/// with row <= r, col <= c.
-std::vector<int64_t> PrefixSums(const std::vector<DensityHistogram::Counter>&
-                                    slice,
-                                int m) {
-  std::vector<int64_t> sums(static_cast<size_t>(m + 1) * (m + 1), 0);
-  for (int r = 0; r < m; ++r) {
-    for (int c = 0; c < m; ++c) {
-      sums[(r + 1) * (m + 1) + (c + 1)] =
-          sums[r * (m + 1) + (c + 1)] + sums[(r + 1) * (m + 1) + c] -
-          sums[r * (m + 1) + c] +
-          slice[static_cast<size_t>(r) * m + c];
+std::vector<int64_t> SummedAreaTable::BlockSums(int half_width) const {
+  std::vector<int64_t> out(static_cast<size_t>(m_) * m_);
+  for (int row = 0; row < m_; ++row) {
+    for (int col = 0; col < m_; ++col) {
+      out[static_cast<size_t>(row) * m_ + col] = BlockSum(col, row, half_width);
     }
   }
-  return sums;
+  return out;
 }
-
-int64_t BlockSum(const std::vector<int64_t>& sums, int m, int col, int row,
-                 int half_width) {
-  const int c_lo = std::max(0, col - half_width);
-  const int c_hi = std::min(m - 1, col + half_width);
-  const int r_lo = std::max(0, row - half_width);
-  const int r_hi = std::min(m - 1, row + half_width);
-  if (c_lo > c_hi || r_lo > r_hi) return 0;
-  const auto at = [&](int r, int c) {
-    return sums[static_cast<size_t>(r) * (m + 1) + c];
-  };
-  return at(r_hi + 1, c_hi + 1) - at(r_lo, c_hi + 1) - at(r_hi + 1, c_lo) +
-         at(r_lo, c_lo);
-}
-
-}  // namespace
 
 int64_t MinObjectsForDensity(double rho, double l) {
   return static_cast<int64_t>(std::ceil(rho * l * l - 1e-9));
@@ -71,7 +48,7 @@ FilterResult FilterCellsOverSlice(
   const int a = ConservativeHalfWidth(l, grid.cell_edge());
   const int b = ExpansiveHalfWidth(l, grid.cell_edge());
 
-  const std::vector<int64_t> sums = PrefixSums(slice, m);
+  const SummedAreaTable sums(slice, m);
 
   FilterResult result;
   result.cells_per_side = m;
@@ -79,10 +56,10 @@ FilterResult FilterCellsOverSlice(
   for (int row = 0; row < m; ++row) {
     for (int col = 0; col < m; ++col) {
       CellClass cls = CellClass::kCandidate;
-      if (a >= 0 && BlockSum(sums, m, col, row, a) >= n_min) {
+      if (a >= 0 && sums.BlockSum(col, row, a) >= n_min) {
         cls = CellClass::kAccept;
         ++result.accepted;
-      } else if (BlockSum(sums, m, col, row, b) < n_min) {
+      } else if (sums.BlockSum(col, row, b) < n_min) {
         cls = CellClass::kReject;
         ++result.rejected;
       } else {
@@ -139,18 +116,36 @@ FilterResult FilterCellsNaive(const DensityHistogram& dh, Tick q_t,
 Region CellsAsRegion(const FilterResult& filter, const Grid& grid,
                      bool include_candidates) {
   assert(filter.cells_per_side == grid.cells_per_side());
-  Region region;
+  // Each column's vertical runs of included cells are exactly the merged
+  // y-union Coalesced would sweep out of the per-cell rects on that
+  // column's slab, so stitching them column by column yields the same
+  // rects in the same order without the per-cell event sweep.
   const int m = filter.cells_per_side;
-  for (int row = 0; row < m; ++row) {
-    for (int col = 0; col < m; ++col) {
-      const CellClass cls = filter.At(col, row);
-      if (cls == CellClass::kAccept ||
-          (include_candidates && cls == CellClass::kCandidate)) {
-        region.Add(grid.CellRect(col, row));
-      }
+  const auto included = [&](int col, int row) {
+    const CellClass cls = filter.At(col, row);
+    return cls == CellClass::kAccept ||
+           (include_candidates && cls == CellClass::kCandidate);
+  };
+  SlabStitcher stitcher;
+  SlabStitcher::Intervals runs;
+  bool previous_empty = true;
+  for (int col = 0; col < m; ++col) {
+    runs.clear();
+    for (int row = 0; row < m; ++row) {
+      if (!included(col, row)) continue;
+      const int start = row;
+      while (row + 1 < m && included(col, row + 1)) ++row;
+      runs.emplace_back(grid.CellRect(col, start).y_lo,
+                        grid.CellRect(col, row).y_hi);
     }
+    // An empty column after a non-empty one closes every open rect.
+    if (!runs.empty() || !previous_empty) {
+      stitcher.Cut(grid.CellRect(col, 0).x_lo, runs);
+    }
+    previous_empty = runs.empty();
   }
-  return region.Coalesced();
+  if (!previous_empty) stitcher.Cut(grid.CellRect(m - 1, 0).x_hi, {});
+  return stitcher.Take();
 }
 
 }  // namespace pdr

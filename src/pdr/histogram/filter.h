@@ -25,12 +25,14 @@
 //
 // Both choices are *sound* — accepts are always dense and rejects never
 // dense — so FR's exactness never depends on their tightness. Block sums
-// are computed with a 2-D prefix-sum table (an implementation improvement
-// over the paper's per-cell summation; results are identical).
+// are computed with a 2-D prefix-sum table (SummedAreaTable below, shared
+// with the FFT engine; an implementation improvement over the paper's
+// per-cell summation; results are identical).
 
 #ifndef PDR_HISTOGRAM_FILTER_H_
 #define PDR_HISTOGRAM_FILTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +53,50 @@ struct FilterResult {
   CellClass At(int col, int row) const {
     return classes[static_cast<size_t>(row) * cells_per_side + col];
   }
+};
+
+/// Inclusive 2-D prefix sums of an m x m row-major image of integer
+/// counts: the count of any centered block of cells in four lookups,
+/// exact because every sum is an integer.
+class SummedAreaTable {
+ public:
+  template <typename Count>
+  SummedAreaTable(const std::vector<Count>& counts, int m)
+      : m_(m), sums_(static_cast<size_t>(m + 1) * (m + 1), 0) {
+    for (int r = 0; r < m; ++r) {
+      int64_t row_sum = 0;
+      for (int c = 0; c < m; ++c) {
+        row_sum += counts[static_cast<size_t>(r) * m + c];
+        sums_[Index(r + 1, c + 1)] = sums_[Index(r, c + 1)] + row_sum;
+      }
+    }
+  }
+
+  /// Sum of the cells within Chebyshev distance `half_width` of
+  /// (col, row), clipped at the grid edge; 0 when half_width < 0.
+  int64_t BlockSum(int col, int row, int half_width) const {
+    const int c_lo = std::max(0, col - half_width);
+    const int c_hi = std::min(m_ - 1, col + half_width);
+    const int r_lo = std::max(0, row - half_width);
+    const int r_hi = std::min(m_ - 1, row + half_width);
+    if (c_lo > c_hi || r_lo > r_hi) return 0;
+    return sums_[Index(r_hi + 1, c_hi + 1)] - sums_[Index(r_lo, c_hi + 1)] -
+           sums_[Index(r_hi + 1, c_lo)] + sums_[Index(r_lo, c_lo)];
+  }
+
+  /// BlockSum of every cell at one half-width, m x m row-major.
+  std::vector<int64_t> BlockSums(int half_width) const;
+
+  /// Sum of every cell.
+  int64_t Total() const { return sums_.back(); }
+
+ private:
+  size_t Index(int r, int c) const {
+    return static_cast<size_t>(r) * (m_ + 1) + c;
+  }
+
+  int m_;
+  std::vector<int64_t> sums_;
 };
 
 /// Number of objects in an l-square needed to meet density threshold rho:

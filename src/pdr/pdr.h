@@ -43,7 +43,6 @@
 #include "pdr/core/pa_engine.h"
 #include "pdr/core/paper_config.h"
 #include "pdr/core/simulation.h"
-#include "pdr/fft/fft.h"
 #include "pdr/fft/fft_engine.h"
 #include "pdr/fft/raster.h"
 #include "pdr/histogram/density_histogram.h"

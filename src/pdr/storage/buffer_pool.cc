@@ -361,6 +361,11 @@ void BufferPool::Discard(PageId id) {
   frame_of_.erase(it);
 }
 
+void BufferPool::Free(PageId id) {
+  Discard(id);
+  pager_->Free(id);
+}
+
 void BufferPool::FlushAll() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (size_t i = 0; i < capacity_; ++i) FlushFrameLocked(frames_[i]);

@@ -101,6 +101,10 @@ class BufferPool {
   /// unpinned.
   void Discard(PageId id);
 
+  /// Discards the page and frees it in the pool's pager — the one every
+  /// page came from, whether the caller owns it or not.
+  void Free(PageId id);
+
   /// Writes all dirty frames back to the pager.
   void FlushAll();
 

@@ -610,8 +610,7 @@ bool TprTree::Delete(ObjectId id) {
         }
       }
     }
-    pool_.Discard(node_id);
-    pager_->Free(node_id);
+    pool_.Free(node_id);
     --node_count_;
     node_id = parent;
   }
@@ -623,8 +622,7 @@ bool TprTree::Delete(ObjectId id) {
     if (header->count == 0) {
       // Tree became empty.
       ref.Reset();
-      pool_.Discard(root_);
-      pager_->Free(root_);
+      pool_.Free(root_);
       --node_count_;
       root_ = kInvalidPageId;
       height_ = 1;
@@ -633,8 +631,7 @@ bool TprTree::Delete(ObjectId id) {
     if (header->count > 1) break;
     const PageId only_child = ref->As<InternalLayout>()->entries[0].child;
     ref.Reset();
-    pool_.Discard(root_);
-    pager_->Free(root_);
+    pool_.Free(root_);
     --node_count_;
     root_ = only_child;
     --height_;

@@ -177,6 +177,8 @@ class TprTree : public ObjectIndex {
   std::string SerializeMeta(const std::string& app_meta) const;
   void RestoreMeta(const std::string& blob);
 
+  // Owned store; null over an external pager, so page traffic (Free
+  // included) goes through pool_, which wraps whichever pager is in use.
   std::unique_ptr<Pager> pager_;
   DiskPager* disk_ = nullptr;  // pager_ downcast when durable, else null
   mutable BufferPool pool_;

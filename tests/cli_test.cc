@@ -298,6 +298,28 @@ TEST_F(CliTest, ConcurrentMonitorReportsConsistentDigests) {
       << r.output;
 }
 
+TEST_F(CliTest, ConcurrentMonitorSurvivesTreeCondense) {
+  // A denser, longer stream than the shared dataset: updates empty whole
+  // TPR leaves, so the MVCC tree condenses nodes through its external
+  // pager.
+  char tmpl[] = "/tmp/pdr_cli_condense_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string data = std::string(dir) + "/ds.bin";
+  const RunResult gen = RunTool("gen --out " + data +
+                                " --objects 1000 --extent 200 --duration 60"
+                                " --interval 4 --seed 11");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const RunResult r = RunTool("monitor --in " + data +
+                              " --varrho 3 --l 30 --every 1 --lookahead 5"
+                              " --concurrent 1");
+  std::system(("rm -rf '" + std::string(dir) + "'").c_str());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("cross-reader per-epoch digests consistent"),
+            std::string::npos)
+      << r.output;
+}
+
 TEST_F(CliTest, FsckCleanStoreExitsZero) {
   char tmpl[] = "/tmp/pdr_cli_fsck_XXXXXX";
   const char* wdir = mkdtemp(tmpl);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "pdr/common/random.h"
 #include "pdr/core/oracle.h"
 #include "pdr/mobility/generator.h"
@@ -187,6 +191,99 @@ TEST(FilterTest, CellsAsRegionOptimisticCoversPessimistic) {
   // Pessimistic region is a subset of the optimistic one.
   EXPECT_NEAR(IntersectionArea(optimistic, pessimistic), pessimistic.Area(),
               1e-6);
+}
+
+// The cells of `filter` that CellsAsRegion includes, one rect per cell in
+// row-major order, coalesced by the generic event sweep: the reference
+// the grid-native CellsAsRegion must reproduce rect for rect.
+Region CoalescedCells(const FilterResult& filter, const Grid& grid,
+                      bool include_candidates) {
+  Region cells;
+  const int m = filter.cells_per_side;
+  for (int row = 0; row < m; ++row) {
+    for (int col = 0; col < m; ++col) {
+      const CellClass cls = filter.At(col, row);
+      if (cls == CellClass::kAccept ||
+          (include_candidates && cls == CellClass::kCandidate)) {
+        cells.Add(grid.CellRect(col, row));
+      }
+    }
+  }
+  return cells.Coalesced();
+}
+
+TEST(FilterTest, CellsAsRegionBitIdenticalToCoalescedCells) {
+  Rng rng(41);
+  int cases = 0;
+  for (const int m : {1, 2, 3, 7, 64, 256}) {
+    // Class patterns: seeded random at three mixes, a blob (accept disk in
+    // a candidate ring), empty, full, and a single row / column.
+    std::vector<std::vector<CellClass>> patterns;
+    const size_t n = static_cast<size_t>(m) * m;
+    for (const double accept_share : {0.1, 0.5, 0.9}) {
+      std::vector<CellClass> p(n);
+      for (CellClass& c : p) {
+        const double u = rng.NextDouble();
+        c = u < accept_share ? CellClass::kAccept
+            : u < accept_share + (1 - accept_share) / 2
+                ? CellClass::kCandidate
+                : CellClass::kReject;
+      }
+      patterns.push_back(std::move(p));
+    }
+    {
+      std::vector<CellClass> p(n, CellClass::kReject);
+      const double cx = rng.Uniform(0.0, m), cy = rng.Uniform(0.0, m);
+      const double radius = rng.Uniform(0.2, 0.5) * m;
+      for (int row = 0; row < m; ++row) {
+        for (int col = 0; col < m; ++col) {
+          const double d = std::hypot(col + 0.5 - cx, row + 0.5 - cy);
+          if (d < radius) {
+            p[static_cast<size_t>(row) * m + col] = CellClass::kAccept;
+          } else if (d < 1.5 * radius) {
+            p[static_cast<size_t>(row) * m + col] = CellClass::kCandidate;
+          }
+        }
+      }
+      patterns.push_back(std::move(p));
+    }
+    patterns.emplace_back(n, CellClass::kReject);
+    patterns.emplace_back(n, CellClass::kAccept);
+    {
+      std::vector<CellClass> row_only(n, CellClass::kReject);
+      std::vector<CellClass> col_only(n, CellClass::kReject);
+      const int k = static_cast<int>(rng.UniformInt(0, m - 1));
+      for (int i = 0; i < m; ++i) {
+        row_only[static_cast<size_t>(k) * m + i] = CellClass::kAccept;
+        col_only[static_cast<size_t>(i) * m + k] = CellClass::kCandidate;
+      }
+      patterns.push_back(std::move(row_only));
+      patterns.push_back(std::move(col_only));
+    }
+
+    for (const double extent : {1.0, 100.0, 333.3, 1000.0}) {
+      const Grid grid(extent, m);
+      for (size_t pi = 0; pi < patterns.size(); ++pi) {
+        FilterResult filter;
+        filter.cells_per_side = m;
+        filter.classes = patterns[pi];
+        for (const bool include_candidates : {false, true}) {
+          const Region got = CellsAsRegion(filter, grid, include_candidates);
+          const Region want = CoalescedCells(filter, grid, include_candidates);
+          ASSERT_EQ(got.size(), want.size())
+              << "m=" << m << " extent=" << extent << " pattern=" << pi
+              << " candidates=" << include_candidates;
+          EXPECT_TRUE(got.IsEmpty() ||
+                      std::memcmp(got.rects().data(), want.rects().data(),
+                                  got.size() * sizeof(Rect)) == 0)
+              << "m=" << m << " extent=" << extent << " pattern=" << pi
+              << " candidates=" << include_candidates;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6 * 4 * 8 * 2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "pdr/common/random.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/storage/pager.h"
 
 namespace pdr {
 namespace {
@@ -279,6 +280,39 @@ TEST(TprTreeTest, ApplyInsertDeleteEventForms) {
   EXPECT_EQ(tree.size(), 1u);
   tree.Apply(UpdateEvent{0, 7, s, std::nullopt});
   EXPECT_EQ(tree.size(), 0u);
+}
+
+TEST(TprTreeTest, ExternalPagerFreesCondensedNodesAndCollapsedRoot) {
+  // The MVCC seam: the tree owns no pager, so the nodes that deletes
+  // condense away and the roots that collapse must be freed in the
+  // caller's pager.
+  MemPager pager;
+  TprTree::Options options = SmallOptions();
+  options.external_pager = &pager;
+  TprTree tree(options);
+  const auto inserts = MakeUniformInserts(800, 500.0, 1.0, 24);
+  for (const UpdateEvent& e : inserts) tree.Insert(e.id, *e.new_state);
+  ASSERT_GE(tree.height(), 2);  // an internal root to collapse
+  tree.FlushBufferPool();
+  EXPECT_EQ(pager.live_pages(), tree.node_count());
+
+  // Down to one object: every other leaf empties and is condensed away,
+  // and the single-child chain above the survivor collapses to a root
+  // leaf.
+  for (size_t i = 1; i < inserts.size(); ++i) {
+    EXPECT_TRUE(tree.Delete(inserts[i].id));
+  }
+  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(pager.live_pages(), 1u);
+  tree.CheckInvariants();
+  EXPECT_EQ(tree.RangeQuery(Rect(-100, -100, 600, 600), 0).size(), 1u);
+
+  EXPECT_TRUE(tree.Delete(inserts[0].id));
+  EXPECT_EQ(tree.size(), 0u);
+  tree.Insert(9999, {{10, 10}, {0, 0}, 0});
+  EXPECT_EQ(tree.RangeQuery(Rect(0, 0, 20, 20), 0).size(), 1u);
 }
 
 }  // namespace
