@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -134,11 +136,70 @@ void BM_Cheb2DBound(benchmark::State& state) {
     poly.AddIndicator(rng.Uniform(-1, 0), rng.Uniform(0, 1),
                       rng.Uniform(-1, 0), rng.Uniform(0, 1), 1.0);
   }
+  // Boxes drawn at run time, so the optimizer cannot fold the bound of a
+  // constant box once the range code is inline.
+  std::vector<std::array<double, 4>> boxes(64);
+  for (auto& b : boxes) {
+    const double x = rng.Uniform(-1, 0.5), y = rng.Uniform(-1, 0.5);
+    b = {x, x + rng.Uniform(0.01, 0.5), y, y + rng.Uniform(0.01, 0.5)};
+  }
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(poly.Bound(-0.5, 0.25, -0.1, 0.9));
+    const auto& b = boxes[i++ % boxes.size()];
+    benchmark::DoNotOptimize(poly.Bound(b[0], b[1], b[2], b[3]));
   }
 }
 BENCHMARK(BM_Cheb2DBound);
+
+void BM_Cheb2DBoundFromEdges(benchmark::State& state) {
+  // The per-node bound of the branch-and-bound: T_k at the box edges is
+  // already at hand (carried down the splits), so no trigonometry.
+  Cheb2D poly(5);
+  Rng rng(7);
+  for (int i = 0; i < 10; ++i) {
+    poly.AddIndicator(rng.Uniform(-1, 0), rng.Uniform(0, 1),
+                      rng.Uniform(-1, 0), rng.Uniform(0, 1), 1.0);
+  }
+  struct Box {
+    double z[4];
+    double t[4][kChebMaxDegree + 1];
+  };
+  std::vector<Box> boxes(64);
+  for (Box& b : boxes) {
+    const double x = rng.Uniform(-1, 0.5), y = rng.Uniform(-1, 0.5);
+    b.z[0] = x;
+    b.z[1] = x + rng.Uniform(0.01, 0.5);
+    b.z[2] = y;
+    b.z[3] = y + rng.Uniform(0.01, 0.5);
+    for (int e = 0; e < 4; ++e) ChebTEdge(poly.degree(), b.z[e], b.t[e]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Box& b = boxes[i++ % boxes.size()];
+    benchmark::DoNotOptimize(poly.BoundFromEdges(
+        b.z[0], b.z[1], b.z[2], b.z[3], b.t[0], b.t[1], b.t[2], b.t[3]));
+  }
+}
+BENCHMARK(BM_Cheb2DBoundFromEdges);
+
+void BM_ChebGridQueryDense(benchmark::State& state) {
+  // One PA branch-and-bound over a seeded 10k-object road-network model at
+  // g = 10, k = 5, eval_grid 1000, thresholded at varrho = 3.
+  WorkloadConfig config;
+  config.seed = 11;
+  TripSimulator sim(config);
+  ChebGrid grid({kExtent, 10, 5, kHorizon, 30.0});
+  for (const UpdateEvent& e : sim.Bootstrap()) grid.Apply(e);
+  const double rho = 3.0 * config.num_objects / (kExtent * kExtent);
+  BnbStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.QueryDense(20, rho, 1000, &stats));
+  }
+  state.counters["nodes"] = benchmark::Counter(
+      static_cast<double>(stats.nodes_visited),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ChebGridQueryDense)->Unit(benchmark::kMillisecond);
 
 void BM_Cheb2DAddIndicator(benchmark::State& state) {
   Cheb2D poly(static_cast<int>(state.range(0)));

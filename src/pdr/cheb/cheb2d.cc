@@ -6,53 +6,53 @@
 namespace pdr {
 
 Cheb2D::Cheb2D(int degree) : degree_(degree) {
-  assert(degree >= 0);
-  row_offset_.resize(degree_ + 1);
-  size_t offset = 0;
-  for (int i = 0; i <= degree_; ++i) {
-    row_offset_[i] = offset;
-    offset += static_cast<size_t>(degree_ - i + 1);
-  }
-  coeffs_.assign(offset, 0.0);
+  assert(degree >= 0 && degree <= kChebMaxDegree);
+  coeffs_.assign(static_cast<size_t>(degree_ + 1) * (degree_ + 2) / 2, 0.0);
 }
 
 size_t Cheb2D::IndexOf(int i, int j) const {
   assert(i >= 0 && j >= 0 && i + j <= degree_);
-  return row_offset_[i] + static_cast<size_t>(j);
+  return static_cast<size_t>(i) * (2 * degree_ + 3 - i) / 2 +
+         static_cast<size_t>(j);
 }
 
 double Cheb2D::Eval(double x, double y) const {
-  // T tables via the recurrence; degree is small (<= 8 in practice).
-  double tx[16], ty[16];
-  assert(degree_ < 16);
+  // T tables via the recurrence.
+  double tx[kChebMaxDegree + 1], ty[kChebMaxDegree + 1];
   ChebTAll(degree_, x, tx);
   ChebTAll(degree_, y, ty);
+  const double* a = coeffs_.data();
   double sum = 0.0;
   for (int i = 0; i <= degree_; ++i) {
     double row = 0.0;
-    const size_t base = row_offset_[i];
-    for (int j = 0; j <= degree_ - i; ++j) {
-      row += coeffs_[base + j] * ty[j];
-    }
+    for (int j = 0; j <= degree_ - i; ++j) row += *a++ * ty[j];
     sum += row * tx[i];
   }
   return sum;
 }
 
 Interval Cheb2D::Bound(double x1, double x2, double y1, double y2) const {
-  Interval ranges_x[16], ranges_y[16];
-  assert(degree_ < 16);
-  for (int i = 0; i <= degree_; ++i) {
-    ranges_x[i] = ChebTRange(i, x1, x2);
-    ranges_y[i] = ChebTRange(i, y1, y2);
-  }
+  double tx1[kChebMaxDegree + 1], tx2[kChebMaxDegree + 1];
+  double ty1[kChebMaxDegree + 1], ty2[kChebMaxDegree + 1];
+  ChebTEdge(degree_, x1, tx1);
+  ChebTEdge(degree_, x2, tx2);
+  ChebTEdge(degree_, y1, ty1);
+  ChebTEdge(degree_, y2, ty2);
+  return BoundFromEdges(x1, x2, y1, y2, tx1, tx2, ty1, ty2);
+}
+
+Interval Cheb2D::BoundFromEdges(double x1, double x2, double y1, double y2,
+                                const double* tx1, const double* tx2,
+                                const double* ty1, const double* ty2) const {
+  Interval ranges_x[kChebMaxDegree + 1], ranges_y[kChebMaxDegree + 1];
+  ChebTRanges(degree_, x1, x2, tx1, tx2, ranges_x);
+  ChebTRanges(degree_, y1, y2, ty1, ty2, ranges_y);
+  const double* a = coeffs_.data();
   Interval total{0.0, 0.0};
   for (int i = 0; i <= degree_; ++i) {
-    const size_t base = row_offset_[i];
-    for (int j = 0; j <= degree_ - i; ++j) {
-      const double a = coeffs_[base + j];
-      if (a == 0.0) continue;
-      total += (ranges_x[i] * ranges_y[j]) * a;
+    for (int j = 0; j <= degree_ - i; ++j, ++a) {
+      if (*a == 0.0) continue;
+      total += (ranges_x[i] * ranges_y[j]) * *a;
     }
   }
   return total;
@@ -61,17 +61,16 @@ Interval Cheb2D::Bound(double x1, double x2, double y1, double y2) const {
 void Cheb2D::AddIndicator(double x1, double x2, double y1, double y2,
                           double height) {
   assert(x1 <= x2 && y1 <= y2);
-  double ax[16], ay[16];
-  assert(degree_ < 16);
+  double ax[kChebMaxDegree + 1], ay[kChebMaxDegree + 1];
   ChebWeightedIntegralAll(degree_, x1, x2, ax);
   ChebWeightedIntegralAll(degree_, y1, y2, ay);
   const double scale = height / (M_PI * M_PI);
+  double* a = coeffs_.data();
   for (int i = 0; i <= degree_; ++i) {
     const double ci = (i == 0) ? 1.0 : 2.0;
-    const size_t base = row_offset_[i];
     for (int j = 0; j <= degree_ - i; ++j) {
       const double cj = (j == 0) ? 1.0 : 2.0;
-      coeffs_[base + j] += ci * cj * scale * ax[i] * ay[j];
+      *a++ += ci * cj * scale * ax[i] * ay[j];
     }
   }
 }

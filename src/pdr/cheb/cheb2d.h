@@ -40,6 +40,14 @@ class Cheb2D {
   /// interval products using exact T_k ranges.
   Interval Bound(double x1, double x2, double y1, double y2) const;
 
+  /// Bound() from T_0..T_degree already evaluated at the four box edges
+  /// (ChebTEdge at x1, x2, y1, y2), bit-identical to Bound(). The
+  /// branch-and-bound carries these down its splits, evaluating only the
+  /// new midpoint edges.
+  Interval BoundFromEdges(double x1, double x2, double y1, double y2,
+                          const double* tx1, const double* tx2,
+                          const double* ty1, const double* ty2) const;
+
   /// Adds `height * indicator([x1,x2] x [y1,y2])` to the approximated
   /// function, in closed form:
   ///   a_ij += c_ij/pi^2 * height * A_i(x1, x2) * A_j(y1, y2)
@@ -60,9 +68,8 @@ class Cheb2D {
   size_t IndexOf(int i, int j) const;
 
   int degree_;
-  // Row-major triangular layout: row i holds j = 0..degree-i, with offset
-  // row_offset_[i].
-  std::vector<size_t> row_offset_;
+  // Row-major triangular layout: row i holds j = 0..degree-i and starts at
+  // i*(degree+1) - i*(i-1)/2; loops walk it with one running index.
   std::vector<double> coeffs_;
 };
 

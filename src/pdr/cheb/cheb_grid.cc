@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
@@ -10,10 +12,30 @@
 
 namespace pdr {
 
+namespace {
+
+const ChebGrid::Options& Validated(const ChebGrid::Options& options) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("ChebGrid: " + what);
+  };
+  if (options.degree < 0 || options.degree > kChebMaxDegree) {
+    reject("degree " + std::to_string(options.degree) + " outside [0, " +
+           std::to_string(kChebMaxDegree) + "]");
+  }
+  if (options.grid_side < 1) {
+    reject("grid side " + std::to_string(options.grid_side) + " < 1");
+  }
+  if (!(options.l > 0)) reject("l " + std::to_string(options.l) + " <= 0");
+  if (options.horizon < 0) {
+    reject("horizon " + std::to_string(options.horizon) + " < 0");
+  }
+  return options;
+}
+
+}  // namespace
+
 ChebGrid::ChebGrid(const Options& options)
-    : options_(options), grid_(options.extent, options.grid_side) {
-  assert(options.grid_side >= 1 && options.degree >= 0 &&
-         options.horizon >= 0 && options.l > 0);
+    : options_(Validated(options)), grid_(options.extent, options.grid_side) {
   slices_.assign(options.horizon + 1,
                  std::vector<Cheb2D>(grid_.cell_count(),
                                      Cheb2D(options.degree)));
@@ -119,51 +141,89 @@ double ChebGrid::Density(Tick t, Vec2 p) const {
 
 namespace {
 
-/// Recursive branch-and-bound over one macro-cell's normalized frame.
-void BnbRecurse(const Cheb2D& poly, const Rect& cell_world, double x1,
-                double x2, double y1, double y2, double rho,
-                double min_edge_norm, Region* out, BnbStats* stats,
-                const QueryControl* ctl) {
-  if (ctl != nullptr) ctl->Check();  // cancellation point per node
-  if (stats != nullptr) ++stats->nodes_visited;
-  const Interval bound = poly.Bound(x1, x2, y1, y2);
-  const auto to_world = [&](double nx1, double nx2, double ny1, double ny2) {
-    const double wx = cell_world.Width() / 2.0;
-    const double wy = cell_world.Height() / 2.0;
-    return Rect(cell_world.x_lo + (nx1 + 1.0) * wx,
-                cell_world.y_lo + (ny1 + 1.0) * wy,
-                cell_world.x_lo + (nx2 + 1.0) * wx,
-                cell_world.y_lo + (ny2 + 1.0) * wy);
-  };
-  if (bound.lo >= rho) {
-    out->Add(to_world(x1, x2, y1, y2));
-    if (stats != nullptr) ++stats->accepted_boxes;
-    return;
+/// Branch-and-bound over one macro-cell's normalized frame (Section 6.3).
+/// Each node carries T_0..T_k at its four box edges, so a split evaluates
+/// only the two new midpoint edges (ChebTEdge) and the children reuse the
+/// parent's; the bound is then bit-identical to a fresh Cheb2D::Bound.
+class BnbSearch {
+ public:
+  BnbSearch(const Cheb2D& poly, Rect cell_world, double rho,
+            double min_edge_norm, std::vector<Rect>* out, BnbStats* stats,
+            const QueryControl* ctl)
+      : poly_(poly),
+        cell_world_(cell_world),
+        rho_(rho),
+        min_edge_norm_(min_edge_norm),
+        out_(out),
+        stats_(stats),
+        ctl_(ctl) {}
+
+  void Run() {
+    double lo[kChebMaxDegree + 1], hi[kChebMaxDegree + 1];
+    ChebTEdge(poly_.degree(), -1.0, lo);
+    ChebTEdge(poly_.degree(), 1.0, hi);
+    Recurse(-1.0, 1.0, -1.0, 1.0, lo, hi, lo, hi);
   }
-  if (bound.hi < rho) {
-    if (stats != nullptr) ++stats->pruned_boxes;
-    return;
-  }
-  if (x2 - x1 <= min_edge_norm && y2 - y1 <= min_edge_norm) {
-    if (stats != nullptr) ++stats->point_evals;
-    const double cx = (x1 + x2) / 2.0;
-    const double cy = (y1 + y2) / 2.0;
-    if (poly.Eval(cx, cy) >= rho) {
-      out->Add(to_world(x1, x2, y1, y2));
+
+ private:
+  // Searches the box; returns true when it came back wholly dense, as one
+  // rect at the back of *out_. When all four quadrants of a box do, their
+  // rects are replaced by the box's own: the quadrants' world edges are
+  // the same doubles (dyadic midpoints through one ToWorld), so the
+  // covered point set, and with it Coalesced(), is unchanged.
+  bool Recurse(double x1, double x2, double y1, double y2, const double* tx1,
+               const double* tx2, const double* ty1, const double* ty2) {
+    if (ctl_ != nullptr) ctl_->Check();  // cancellation point per node
+    if (stats_ != nullptr) ++stats_->nodes_visited;
+    const Interval bound =
+        poly_.BoundFromEdges(x1, x2, y1, y2, tx1, tx2, ty1, ty2);
+    if (bound.lo >= rho_) {
+      out_->push_back(ToWorld(x1, x2, y1, y2));
+      if (stats_ != nullptr) ++stats_->accepted_boxes;
+      return true;
     }
-    return;
+    if (bound.hi < rho_) {
+      if (stats_ != nullptr) ++stats_->pruned_boxes;
+      return false;
+    }
+    if (x2 - x1 <= min_edge_norm_ && y2 - y1 <= min_edge_norm_) {
+      if (stats_ != nullptr) ++stats_->point_evals;
+      if (poly_.Eval((x1 + x2) / 2.0, (y1 + y2) / 2.0) < rho_) return false;
+      out_->push_back(ToWorld(x1, x2, y1, y2));
+      return true;
+    }
+    const double mx = (x1 + x2) / 2.0;
+    const double my = (y1 + y2) / 2.0;
+    double tmx[kChebMaxDegree + 1], tmy[kChebMaxDegree + 1];
+    ChebTEdge(poly_.degree(), mx, tmx);
+    ChebTEdge(poly_.degree(), my, tmy);
+    const bool q0 = Recurse(x1, mx, y1, my, tx1, tmx, ty1, tmy);
+    const bool q1 = Recurse(mx, x2, y1, my, tmx, tx2, ty1, tmy);
+    const bool q2 = Recurse(x1, mx, my, y2, tx1, tmx, tmy, ty2);
+    const bool q3 = Recurse(mx, x2, my, y2, tmx, tx2, tmy, ty2);
+    if (!(q0 && q1 && q2 && q3)) return false;
+    out_->resize(out_->size() - 4);
+    out_->push_back(ToWorld(x1, x2, y1, y2));
+    return true;
   }
-  const double mx = (x1 + x2) / 2.0;
-  const double my = (y1 + y2) / 2.0;
-  BnbRecurse(poly, cell_world, x1, mx, y1, my, rho, min_edge_norm, out, stats,
-             ctl);
-  BnbRecurse(poly, cell_world, mx, x2, y1, my, rho, min_edge_norm, out, stats,
-             ctl);
-  BnbRecurse(poly, cell_world, x1, mx, my, y2, rho, min_edge_norm, out, stats,
-             ctl);
-  BnbRecurse(poly, cell_world, mx, x2, my, y2, rho, min_edge_norm, out, stats,
-             ctl);
-}
+
+  Rect ToWorld(double nx1, double nx2, double ny1, double ny2) const {
+    const double wx = cell_world_.Width() / 2.0;
+    const double wy = cell_world_.Height() / 2.0;
+    return Rect(cell_world_.x_lo + (nx1 + 1.0) * wx,
+                cell_world_.y_lo + (ny1 + 1.0) * wy,
+                cell_world_.x_lo + (nx2 + 1.0) * wx,
+                cell_world_.y_lo + (ny2 + 1.0) * wy);
+  }
+
+  const Cheb2D& poly_;
+  const Rect cell_world_;
+  const double rho_;
+  const double min_edge_norm_;
+  std::vector<Rect>* out_;
+  BnbStats* stats_;
+  const QueryControl* ctl_;
+};
 
 }  // namespace
 
@@ -193,11 +253,11 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
   static Counter& bnb_point_evals =
       MetricsRegistry::Global().GetCounter("pdr.pa.bnb_point_evals");
 
-  // Each macro-cell's search writes its own region and counters; cell
-  // regions are concatenated in cell order below, so serial and parallel
+  // Each macro-cell's search writes its own rects and counters; cell
+  // rects are concatenated in cell order below, so serial and parallel
   // execution build the identical rectangle sequence before Coalesced().
   const int cell_count = grid.cell_count();
-  std::vector<Region> cell_out(static_cast<size_t>(cell_count));
+  std::vector<std::vector<Rect>> cell_out(static_cast<size_t>(cell_count));
   std::vector<BnbStats> cell_stats(static_cast<size_t>(cell_count));
 
   const auto search_cell = [&](int64_t cell) {
@@ -209,9 +269,9 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
     if (poly.IsZero() && rho > 0) {
       ++cs.pruned_boxes;
     } else {
-      BnbRecurse(poly, grid.CellRect(static_cast<int>(cell)), -1.0, 1.0,
-                 -1.0, 1.0, rho, min_edge_norm,
-                 &cell_out[static_cast<size_t>(cell)], &cs, ctl);
+      BnbSearch(poly, grid.CellRect(static_cast<int>(cell)), rho,
+                min_edge_norm, &cell_out[static_cast<size_t>(cell)], &cs, ctl)
+          .Run();
     }
     bnb_nodes.Add(cs.nodes_visited);
     bnb_pruned.Add(cs.pruned_boxes);
@@ -240,7 +300,7 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
 
   Region out;
   for (int cell = 0; cell < cell_count; ++cell) {
-    out.Add(cell_out[static_cast<size_t>(cell)]);
+    for (const Rect& r : cell_out[static_cast<size_t>(cell)]) out.Add(r);
     if (stats != nullptr) *stats += cell_stats[static_cast<size_t>(cell)];
   }
   return out.Coalesced();

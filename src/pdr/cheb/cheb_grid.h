@@ -63,6 +63,8 @@ class ChebGrid {
     double l = 30.0;         ///< fixed l-square edge
   };
 
+  /// Throws std::invalid_argument unless 0 <= degree <= kChebMaxDegree,
+  /// grid_side >= 1, l > 0 and horizon >= 0.
   explicit ChebGrid(const Options& options);
 
   const Options& options() const { return options_; }

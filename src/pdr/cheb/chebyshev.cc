@@ -6,15 +6,53 @@
 
 namespace pdr {
 
-Interval Interval::operator*(const Interval& o) const {
-  const double a = lo * o.lo, b = lo * o.hi, c = hi * o.lo, d = hi * o.hi;
-  return {std::min(std::min(a, b), std::min(c, d)),
-          std::max(std::max(a, b), std::max(c, d))};
+namespace {
+
+// The interior extrema of T_k lie at cos(j*pi/k), value (-1)^j. Kept out
+// of interprocedural constant propagation so the table holds what the
+// libm call returns at run time, not a compile-time folded cosine.
+[[gnu::noipa]] double InteriorExtremum(int j, int k) {
+  return std::cos(j * M_PI / k);
 }
 
-Interval Interval::operator*(double s) const {
-  return s >= 0 ? Interval{lo * s, hi * s} : Interval{hi * s, lo * s};
+// x[k][j] = InteriorExtremum(j, k) for 1 <= j < k <= kChebMaxDegree.
+struct ExtremaTable {
+  double x[kChebMaxDegree + 1][kChebMaxDegree + 1] = {};
+  ExtremaTable() {
+    for (int k = 1; k <= kChebMaxDegree; ++k) {
+      for (int j = 1; j < k; ++j) x[k][j] = InteriorExtremum(j, k);
+    }
+  }
+};
+
+// Built on first use, so no static initializer elsewhere can read it
+// unfilled.
+const ExtremaTable& Extrema() {
+  static const ExtremaTable table;
+  return table;
 }
+
+// The one per-order range routine: the endpoint values a = T_k(z1),
+// b = T_k(z2), widened to -1 / +1 by any interior extremum xk[j] of T_k
+// in [z1, z2].
+Interval RangeOfOrder(const double* xk, int k, double z1, double z2,
+                      double a, double b) {
+  if (k == 0) return {1.0, 1.0};
+  Interval range{std::min(a, b), std::max(a, b)};
+  for (int j = 1; j < k; ++j) {
+    if (xk[j] >= z1 && xk[j] <= z2) {
+      if (j % 2 == 1) {
+        range.lo = -1.0;
+      } else {
+        range.hi = 1.0;
+      }
+    }
+    if (range.lo == -1.0 && range.hi == 1.0) break;
+  }
+  return range;
+}
+
+}  // namespace
 
 double ChebT(int k, double x) {
   const double xc = std::clamp(x, -1.0, 1.0);
@@ -30,25 +68,23 @@ void ChebTAll(int degree, double x, double* out) {
   }
 }
 
+void ChebTEdge(int degree, double z, double* out) {
+  const double t = std::acos(std::clamp(z, -1.0, 1.0));
+  for (int k = 0; k <= degree; ++k) out[k] = std::cos(k * t);
+}
+
 Interval ChebTRange(int k, double z1, double z2) {
-  assert(z1 <= z2);
-  if (k == 0) return {1.0, 1.0};
-  const double a = ChebT(k, z1);
-  const double b = ChebT(k, z2);
-  Interval range{std::min(a, b), std::max(a, b)};
-  // Interior extrema of T_k are at cos(j*pi/k), value (-1)^j, j = 1..k-1.
-  for (int j = 1; j < k; ++j) {
-    const double xj = std::cos(j * M_PI / k);
-    if (xj >= z1 && xj <= z2) {
-      if (j % 2 == 1) {
-        range.lo = -1.0;
-      } else {
-        range.hi = 1.0;
-      }
-    }
-    if (range.lo == -1.0 && range.hi == 1.0) break;
+  assert(z1 <= z2 && k >= 0 && k <= kChebMaxDegree);
+  return RangeOfOrder(Extrema().x[k], k, z1, z2, ChebT(k, z1), ChebT(k, z2));
+}
+
+void ChebTRanges(int degree, double z1, double z2, const double* t1,
+                 const double* t2, Interval* out) {
+  assert(z1 <= z2 && degree >= 0 && degree <= kChebMaxDegree);
+  const ExtremaTable& extrema = Extrema();
+  for (int k = 0; k <= degree; ++k) {
+    out[k] = RangeOfOrder(extrema.x[k], k, z1, z2, t1[k], t2[k]);
   }
-  return range;
 }
 
 double ChebWeightedIntegral(int i, double z1, double z2) {

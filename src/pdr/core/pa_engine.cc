@@ -1,6 +1,7 @@
 #include "pdr/core/pa_engine.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "pdr/core/fr_snapshot_state.h"
 #include "pdr/mvcc/snapshot_manager.h"
@@ -20,10 +21,21 @@ void FinishPaSpan(TraceSpan* span, const PaEngine::QueryResult& result) {
   span->SetAttr("point_evals", result.bnb.point_evals);
 }
 
+// The ChebGrid constructor checks the model's own options; the
+// branch-and-bound leaf resolution is the engine's.
+const PaEngine::Options& Validated(const PaEngine::Options& options) {
+  if (options.eval_grid < options.poly_side) {
+    throw std::invalid_argument(
+        "PaEngine: eval_grid " + std::to_string(options.eval_grid) +
+        " < poly_side " + std::to_string(options.poly_side));
+  }
+  return options;
+}
+
 }  // namespace
 
 PaEngine::PaEngine(const Options& options)
-    : options_(options),
+    : options_(Validated(options)),
       model_({options.extent, options.poly_side, options.degree,
               options.horizon, options.l}) {
   if (options_.snapshots != nullptr) {

@@ -44,6 +44,9 @@ class PaEngine {
     mvcc::SnapshotManager* snapshots = nullptr;
   };
 
+  /// Throws std::invalid_argument on options the model cannot hold: a
+  /// degree outside [0, kChebMaxDegree], poly_side < 1,
+  /// eval_grid < poly_side, l <= 0 or horizon < 0.
   explicit PaEngine(const Options& options);
   ~PaEngine();
 

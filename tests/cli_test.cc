@@ -288,6 +288,27 @@ TEST_F(CliTest, MonitorRejectsDeadlineWithAudit) {
   EXPECT_NE(r.output.find("FR-primary"), std::string::npos) << r.output;
 }
 
+TEST_F(CliTest, MonitorRejectsDegreeBeyondTableBound) {
+  // A PA degree past the fixed per-order tables is an option error (exit
+  // 1), not a stack overflow; the same run at the default degree succeeds.
+  char tmpl[] = "/tmp/pdr_cli_degree_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string data = std::string(dir) + "/d.bin";
+  const RunResult gen = RunTool("gen --out " + data +
+                                " --objects 300 --duration 20 --seed 3");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const std::string monitor = "monitor --in " + data +
+                              " --varrho 3 --l 30 --every 1 --lookahead 5"
+                              " --audit-rate 0.5 --degree ";
+  const RunResult bad = RunTool(monitor + "40");
+  const RunResult good = RunTool(monitor + "5");
+  std::system(("rm -rf '" + std::string(dir) + "'").c_str());
+  EXPECT_EQ(bad.exit_code, 1) << bad.output;
+  EXPECT_NE(bad.output.find("error:"), std::string::npos) << bad.output;
+  EXPECT_EQ(good.exit_code, 0) << good.output;
+}
+
 TEST_F(CliTest, ConcurrentMonitorReportsConsistentDigests) {
   const RunResult r = RunTool("monitor --in " + dataset() +
                           " --varrho 2 --l 25 --lookahead 2 --concurrent 2");

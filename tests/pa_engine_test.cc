@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "pdr/core/fr_engine.h"
 #include "pdr/core/metrics.h"
 #include "pdr/core/oracle.h"
@@ -166,6 +169,53 @@ TEST(PaEngineTest, MorePolynomialsImproveAccuracy) {
   const double fine = run(10);
   EXPECT_LT(fine, coarse + 0.05)
       << "g=2 err " << coarse << " vs g=10 err " << fine;
+}
+
+// Options the model cannot hold are rejected at construction, before any
+// fixed-size per-order table is sized from them.
+TEST(PaEngineTest, RejectsDegreeOutsideTableBound) {
+  PaEngine::Options o = SmallOptions(2, kChebMaxDegree);
+  EXPECT_NO_THROW(PaEngine{o});
+  o.degree = kChebMaxDegree + 1;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+  o.degree = 40;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+  o.degree = -1;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+}
+
+TEST(PaEngineTest, RejectsPolySideBelowOne) {
+  PaEngine::Options o = SmallOptions();
+  o.poly_side = 0;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+  o.poly_side = -3;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+}
+
+TEST(PaEngineTest, RejectsEvalGridBelowPolySide) {
+  PaEngine::Options o = SmallOptions(8);
+  o.eval_grid = 8;
+  EXPECT_NO_THROW(PaEngine{o});
+  o.eval_grid = 7;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+}
+
+TEST(PaEngineTest, RejectsNonPositiveL) {
+  PaEngine::Options o = SmallOptions();
+  o.l = 0.0;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+  o.l = -5.0;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+  o.l = std::nan("");
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
+}
+
+TEST(PaEngineTest, RejectsNegativeHorizon) {
+  PaEngine::Options o = SmallOptions();
+  o.horizon = 0;
+  EXPECT_NO_THROW(PaEngine{o});
+  o.horizon = -1;
+  EXPECT_THROW(PaEngine{o}, std::invalid_argument);
 }
 
 }  // namespace
