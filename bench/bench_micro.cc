@@ -241,6 +241,29 @@ void BM_IntersectionArea(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionArea);
 
+// The standing monitor's delta: RegionDifference between the coalesced FR
+// answers at two consecutive ticks of a seeded 10k-object model (twelve
+// drifting clusters over a uniform background).
+void BM_RegionDifference(benchmark::State& state) {
+  constexpr int kObjects = 10000;
+  FrEngine fr({.extent = kExtent, .histogram_side = 100, .horizon = kHorizon});
+  Rng rng(10);
+  for (UpdateEvent e :
+       MakeClusteredInserts(kObjects, 12, kExtent, 40.0, 0.3, 10)) {
+    e.new_state->vel = {rng.Uniform(-1.5, 1.5), rng.Uniform(-1.5, 1.5)};
+    fr.Apply(e);
+  }
+  const double rho = 3.0 * kObjects / (kExtent * kExtent);
+  const Region previous = fr.Query(/*q_t=*/4, rho, /*l=*/30.0).region;
+  const Region current = fr.Query(/*q_t=*/5, rho, /*l=*/30.0).region;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RegionDifference(current, previous));
+  }
+  state.counters["rects"] =
+      static_cast<double>(previous.size() + current.size());
+}
+BENCHMARK(BM_RegionDifference)->Unit(benchmark::kMillisecond);
+
 void BM_FilterCells(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   DensityHistogram dh({kExtent, m, 4});

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <limits>
 #include <sstream>
 
 namespace pdr {
 namespace {
+
+using Intervals = SlabStitcher::Intervals;
 
 // One vertical slab boundary: a rectangle either starts (+1) or ends (-1)
 // contributing its y-interval at coordinate x.
@@ -30,44 +32,50 @@ std::vector<XEvent> BuildEvents(const std::vector<Rect>& rects) {
   return events;
 }
 
-// Multiset of active y-intervals with O(a log a) merged-union extraction.
+// Multiset of active y-intervals, kept as a vector sorted by (lo, hi) with
+// duplicates adjacent — the order merging needs.
 class ActiveIntervals {
  public:
-  void Add(double lo, double hi) { ++intervals_[{lo, hi}]; }
+  using Interval = std::pair<double, double>;
+
+  void Add(double lo, double hi) {
+    const Interval iv(lo, hi);
+    intervals_.insert(
+        std::upper_bound(intervals_.begin(), intervals_.end(), iv), iv);
+  }
 
   void Remove(double lo, double hi) {
-    auto it = intervals_.find({lo, hi});
-    assert(it != intervals_.end());
-    if (--it->second == 0) intervals_.erase(it);
+    const Interval iv(lo, hi);
+    const auto it = std::lower_bound(intervals_.begin(), intervals_.end(), iv);
+    assert(it != intervals_.end() && *it == iv);
+    intervals_.erase(it);
   }
 
   bool Empty() const { return intervals_.empty(); }
 
-  /// Disjoint sorted union of the active intervals.
-  std::vector<std::pair<double, double>> MergedUnion() const {
-    std::vector<std::pair<double, double>> merged;
-    merged.reserve(intervals_.size());
-    for (const auto& [iv, count] : intervals_) {
-      (void)count;
-      if (!merged.empty() && iv.first <= merged.back().second) {
-        merged.back().second = std::max(merged.back().second, iv.second);
+  /// Disjoint, non-touching sorted union of the active intervals, built
+  /// into a buffer the next call reuses.
+  const Intervals& MergedUnion() {
+    merged_.clear();
+    for (const Interval& iv : intervals_) {
+      if (!merged_.empty() && iv.first <= merged_.back().second) {
+        merged_.back().second = std::max(merged_.back().second, iv.second);
       } else {
-        merged.push_back(iv);
+        merged_.push_back(iv);
       }
     }
-    return merged;
+    return merged_;
   }
 
-  double UnionLength() const {
+  double UnionLength() {
     double len = 0;
     for (const auto& [lo, hi] : MergedUnion()) len += hi - lo;
     return len;
   }
 
  private:
-  // Keyed map acts as an ordered multiset of (lo, hi) with multiplicities;
-  // ordered by lo then hi, which is exactly what merging needs.
-  std::map<std::pair<double, double>, int> intervals_;
+  std::vector<Interval> intervals_;
+  Intervals merged_;
 };
 
 // Applies every event at coordinate `x` from events[*i] on, advancing *i.
@@ -83,8 +91,7 @@ void ApplyEventsAt(const std::vector<XEvent>& events, double x, size_t* i,
   }
 }
 
-double MergedOverlapLength(const std::vector<std::pair<double, double>>& a,
-                           const std::vector<std::pair<double, double>>& b) {
+double MergedOverlapLength(const Intervals& a, const Intervals& b) {
   double len = 0;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -241,75 +248,70 @@ double DifferenceArea(const Region& a, const Region& b) {
 
 namespace {
 
-/// Sorted disjoint intervals of `a` minus `b` (both sorted disjoint).
-std::vector<std::pair<double, double>> IntervalDifference(
-    const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  std::vector<std::pair<double, double>> out;
+/// Sorted, disjoint, non-touching intervals of `a` minus `b` (both so)
+/// into *out.
+void IntervalDifference(const Intervals& a, const Intervals& b,
+                        Intervals* out) {
+  out->clear();
   size_t j = 0;
   for (auto [lo, hi] : a) {
     double cursor = lo;
     while (j < b.size() && b[j].second <= cursor) ++j;
     size_t k = j;
     while (k < b.size() && b[k].first < hi) {
-      if (b[k].first > cursor) out.emplace_back(cursor, b[k].first);
+      if (b[k].first > cursor) out->emplace_back(cursor, b[k].first);
       cursor = std::max(cursor, b[k].second);
       if (cursor >= hi) break;
       ++k;
     }
-    if (cursor < hi) out.emplace_back(cursor, hi);
+    if (cursor < hi) out->emplace_back(cursor, hi);
   }
-  return out;
 }
 
-std::vector<std::pair<double, double>> IntervalIntersection(
-    const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  std::vector<std::pair<double, double>> out;
+/// Sorted, disjoint, non-touching intervals of `a` within `b` (both so)
+/// into *out.
+void IntervalIntersection(const Intervals& a, const Intervals& b,
+                          Intervals* out) {
+  out->clear();
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     const double lo = std::max(a[i].first, b[j].first);
     const double hi = std::min(a[i].second, b[j].second);
-    if (hi > lo) out.emplace_back(lo, hi);
+    if (hi > lo) out->emplace_back(lo, hi);
     if (a[i].second < b[j].second) {
       ++i;
     } else {
       ++j;
     }
   }
-  return out;
 }
 
 /// Shared slab sweep for constructive boolean operations: for each x-slab
 /// the combiner maps the two active interval unions to the result's
-/// intervals on that slab.
+/// intervals on that slab, which go straight to the stitcher. They are
+/// already sorted, disjoint and non-touching — what Coalesced's merged
+/// union of the per-slab rects would be — so the output is the rects
+/// Coalesced() of those per-slab rects returns, in the same order.
 template <typename Combiner>
 Region BooleanCombine(const Region& a, const Region& b,
                       const Combiner& combine) {
-  std::vector<XEvent> ea = BuildEvents(a.rects());
-  std::vector<XEvent> eb = BuildEvents(b.rects());
+  const std::vector<XEvent> ea = BuildEvents(a.rects());
+  const std::vector<XEvent> eb = BuildEvents(b.rects());
   ActiveIntervals active_a;
   ActiveIntervals active_b;
-  Region out;
+  SlabStitcher stitcher;
+  Intervals slab;
   size_t i = 0, j = 0;
-  double prev_x = 0;
-  bool have_prev = false;
   while (i < ea.size() || j < eb.size()) {
     const double x = std::min(
         i < ea.size() ? ea[i].x : std::numeric_limits<double>::infinity(),
         j < eb.size() ? eb[j].x : std::numeric_limits<double>::infinity());
-    if (have_prev && x > prev_x) {
-      for (const auto& [lo, hi] :
-           combine(active_a.MergedUnion(), active_b.MergedUnion())) {
-        out.Add(Rect(prev_x, lo, x, hi));
-      }
-    }
     ApplyEventsAt(ea, x, &i, &active_a);
     ApplyEventsAt(eb, x, &j, &active_b);
-    prev_x = x;
-    have_prev = true;
+    combine(active_a.MergedUnion(), active_b.MergedUnion(), &slab);
+    stitcher.Cut(x, slab);
   }
-  return out.Coalesced();
+  return stitcher.Take();
 }
 
 }  // namespace

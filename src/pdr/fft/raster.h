@@ -17,11 +17,13 @@
 //   expansive half-width     b = ceil(l / (2g))        cells
 //     (the (2b+1)-block covers S_l(p)),
 //
-// with *no* extra "+1" slack cell: the closed-top/right binning absorbs
-// the closed edge that histogram/filter.h's ExpansiveHalfWidth has to pay
-// one full extra cell for. The accept region derived from `a` is a subset
-// of the exact answer and the accept+candidate region derived from `b` a
-// superset — the sandwich tests/fft_test.cc asserts against exact FR.
+// of the exact quotient, with no "+1" slack cell (the per-axis
+// containment argument of DESIGN.md §15). These are the histogram
+// filter's half-widths under (lo, hi] cells, so RasterGrid calls
+// histogram/filter.h's exact ConservativeHalfWidth / ExpansiveHalfWidth.
+// The accept region derived from `a` is a subset of the exact answer and
+// the accept+candidate region derived from `b` a superset — the sandwich
+// tests/fft_test.cc asserts against exact FR.
 //
 // Domain edges: positions follow the oracle's closed-domain convention
 // (InDomainPositions: 0 <= x <= extent counted, everything else dropped).
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "pdr/common/geometry.h"
+#include "pdr/histogram/filter.h"
 
 namespace pdr {
 
@@ -64,12 +67,12 @@ class RasterGrid {
   /// Conservative block half-width for neighborhood edge l (may be < 0:
   /// no accept possible at this resolution).
   int ConservativeHalfWidth(double l) const {
-    return static_cast<int>(std::floor(l / (2.0 * edge_))) - 1;
+    return pdr::ConservativeHalfWidth(l, edge_);
   }
 
   /// Expansive block half-width for neighborhood edge l.
   int ExpansiveHalfWidth(double l) const {
-    return static_cast<int>(std::ceil(l / (2.0 * edge_)));
+    return pdr::ExpansiveHalfWidth(l, edge_);
   }
 
  private:

@@ -20,19 +20,36 @@ int64_t MinObjectsForDensity(double rho, double l) {
   return static_cast<int64_t>(std::ceil(rho * l * l - 1e-9));
 }
 
+namespace {
+
+/// The largest k >= 0 with 2k*l_c <= l, decided exactly. The rounded
+/// quotient's floor is never below it (rounding is monotone and k is
+/// representable) and exceeds it only where l/(2*l_c) rounds up onto an
+/// integer. fma(2k, l_c, -l) rounds the exact value of 2k*l_c - l once,
+/// and rounding never flips a sign, so the correction is exact.
+int WholeStepsWithin(double l, double cell_edge) {
+  int k = std::max(0, static_cast<int>(std::floor(l / (2.0 * cell_edge))));
+  while (k > 0 && std::fma(2.0 * k, cell_edge, -l) > 0) --k;
+  return k;
+}
+
+}  // namespace
+
 int ConservativeHalfWidth(double l, double cell_edge) {
-  // Largest a with (2a+1)*l_c <= l - l_c.
-  return static_cast<int>(std::floor((l / cell_edge - 2.0) / 2.0 + 1e-12));
+  // Largest a with (2a+1)*l_c <= l - l_c, i.e. (2a+2)*l_c <= l.
+  return WholeStepsWithin(l, cell_edge) - 1;
 }
 
 int ExpansiveHalfWidth(double l, double cell_edge) {
-  // The block [(col-b)*l_c, (col+b+1)*l_c) must cover every point of every
-  // S_l(p), p in the half-open cell: b*l_c >= l/2 on each side. The closed
+  // Smallest b >= 0 with 2b*l_c >= l. The block
+  // [(col-b)*l_c, (col+b+1)*l_c) must cover every point of every S_l(p),
+  // p in the half-open cell: b*l_c >= l/2 on each side. The closed
   // top/right edge of S_l needs no extra cell: an object exactly at
   // coordinate (col+b+1)*l_c is assigned to the next cell, but p < cell_hi
   // implies p + l/2 < cell_hi + l/2 <= (col+b+1)*l_c, so that object is in
   // no S_l(p) anyway.
-  return static_cast<int>(std::ceil(l / (2.0 * cell_edge) - 1e-12));
+  const int k = WholeStepsWithin(l, cell_edge);
+  return std::fma(2.0 * k, cell_edge, -l) == 0 ? k : k + 1;
 }
 
 FilterResult FilterCells(const DensityHistogram& dh, Tick q_t, double rho,

@@ -16,12 +16,17 @@
 // Neighborhood sizing (derived from first principles; the OCR'd paper text
 // is ambiguous — see DESIGN.md): with cell edge l_c,
 //
-//   conservative half-width  a = floor((l/l_c - 2) / 2)   cells
+//   conservative half-width  a = the largest a with (2a+2)*l_c <= l
 //     (block width (2a+1)*l_c must fit in l - l_c, the intersection of all
 //      l-squares centered in the cell; a < 0 means no accept is possible),
-//   expansive half-width     b = ceil(l / (2*l_c)) + 1    cells
+//   expansive half-width     b = the smallest b >= 0 with 2b*l_c >= l
 //     (block must cover a square of width l + l_c centered on the cell;
-//      the extra +1 absorbs the closed top/right edge of S_l).
+//      the closed top/right edge of S_l needs no extra cell, because an
+//      object on the block's outer edge belongs to the next cell).
+//
+// Both inequalities are decided exactly (an fma sign test), with no
+// epsilon: a rounded quotient l/l_c within an ulp of an integer would
+// otherwise tip either bound to the unsound side.
 //
 // Both choices are *sound* — accepts are always dense and rejects never
 // dense — so FR's exactness never depends on their tightness. Block sums
@@ -104,10 +109,12 @@ class SummedAreaTable {
 /// that are exactly integral are not bumped by rounding noise).
 int64_t MinObjectsForDensity(double rho, double l);
 
-/// Conservative-block half-width in cells; negative means "cannot accept".
+/// Conservative-block half-width in cells: the largest a with
+/// (2a+2)*cell_edge <= l, decided exactly; negative means "cannot accept".
 int ConservativeHalfWidth(double l, double cell_edge);
 
-/// Expansive-block half-width in cells.
+/// Expansive-block half-width in cells: the smallest b >= 0 with
+/// 2b*cell_edge >= l, decided exactly.
 int ExpansiveHalfWidth(double l, double cell_edge);
 
 /// Runs the filter step for query (rho, l, q_t) against the histogram.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <utility>
 
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
@@ -10,28 +10,37 @@
 namespace pdr {
 namespace {
 
-/// Builds the sorted, deduplicated event coordinates for one axis: the two
-/// boundaries plus every object-induced stopping coordinate strictly
-/// inside (lo, hi).
-std::vector<double> BuildEvents(double lo, double hi,
-                                const std::vector<double>& candidates) {
-  std::vector<double> events;
-  events.reserve(candidates.size() + 2);
-  events.push_back(lo);
-  for (double c : candidates) {
-    if (c > lo && c < hi) events.push_back(c);
+/// Writes to *events the stopping coordinates of one axis in increasing
+/// order, each once: lo, every coordinate of the two sorted lists strictly
+/// inside (lo, hi), and hi. `key` maps a list element to its coordinate.
+/// Merging two sorted lists and skipping repeats yields the same doubles
+/// as sorting their union and removing duplicates.
+template <typename T, typename Key>
+void MergeEvents(double lo, double hi, const std::vector<T>& a,
+                 const std::vector<T>& b, Key key,
+                 std::vector<double>* events) {
+  events->clear();
+  events->push_back(lo);
+  size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    const double c = j == b.size() || (i < a.size() && key(a[i]) <= key(b[j]))
+                         ? key(a[i++])
+                         : key(b[j++]);
+    if (c > lo && c < hi && c != events->back()) events->push_back(c);
   }
-  events.push_back(hi);
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end()), events.end());
-  return events;
+  if (hi != events->back()) events->push_back(hi);
 }
 
-}  // namespace
+/// Buffers one SweepCell call reuses across all of its Y-sweeps.
+struct YSweepBuffers {
+  std::vector<double> entries, exits, events;
+  std::vector<std::pair<double, double>> segments;
+};
 
-std::vector<std::pair<double, double>> SweepY(
-    const std::vector<double>& sorted_ys, double y_b, double y_t, double l,
-    int64_t n_min, SweepStats* stats, const QueryControl* ctl) {
+/// The Y-sweep (Algorithm 3) into buf->segments.
+void SweepYInto(const std::vector<double>& sorted_ys, double y_b, double y_t,
+                double l, int64_t n_min, SweepStats* stats,
+                const QueryControl* ctl, YSweepBuffers* buf) {
   assert(std::is_sorted(sorted_ys.begin(), sorted_ys.end()));
   // The object at oy is inside the square centered at y iff
   // oy - l/2 <= y < oy + l/2. Count strictly in terms of the *computed*
@@ -39,33 +48,31 @@ std::vector<std::pair<double, double>> SweepY(
   // that define the stopping events — so that membership flips exactly at
   // the events. (Re-deriving the window as [y - l/2, y + l/2] from the
   // strip coordinate rounds differently and can keep an object one strip
-  // past its own exit event.)
-  std::vector<double> entries, exits;
-  entries.reserve(sorted_ys.size());
-  exits.reserve(sorted_ys.size());
-  std::vector<double> candidates;
-  candidates.reserve(sorted_ys.size() * 2);
+  // past its own exit event.) Rounding is monotone, so sorted ys give
+  // sorted entries and exits.
+  std::vector<double>& entries = buf->entries;
+  std::vector<double>& exits = buf->exits;
+  entries.clear();
+  exits.clear();
   for (double oy : sorted_ys) {
     entries.push_back(oy - l / 2);
     exits.push_back(oy + l / 2);
-    candidates.push_back(oy - l / 2);
-    candidates.push_back(oy + l / 2);
   }
-  std::sort(entries.begin(), entries.end());
-  std::sort(exits.begin(), exits.end());
-  const std::vector<double> events = BuildEvents(y_b, y_t, candidates);
+  MergeEvents(y_b, y_t, entries, exits, [](double c) { return c; },
+              &buf->events);
+  const std::vector<double>& events = buf->events;
 
-  std::vector<std::pair<double, double>> dense;
+  std::vector<std::pair<double, double>>& dense = buf->segments;
+  dense.clear();
+  size_t entered = 0;  // entries <= y
+  size_t exited = 0;   // exits <= y
   for (size_t j = 0; j + 1 < events.size(); ++j) {
     if (ctl != nullptr) ctl->Check();  // cancellation point per Y-strip
     if (stats != nullptr) ++stats->y_strips;
     const double y = events[j];
-    const int64_t entered =
-        std::upper_bound(entries.begin(), entries.end(), y) - entries.begin();
-    const int64_t exited =
-        std::upper_bound(exits.begin(), exits.end(), y) - exits.begin();
-    const int64_t count = entered - exited;
-    if (count >= n_min) {
+    while (entered < entries.size() && entries[entered] <= y) ++entered;
+    while (exited < exits.size() && exits[exited] <= y) ++exited;
+    if (static_cast<int64_t>(entered - exited) >= n_min) {
       if (!dense.empty() && dense.back().second == y) {
         dense.back().second = events[j + 1];  // extend the previous segment
       } else {
@@ -73,10 +80,7 @@ std::vector<std::pair<double, double>> SweepY(
       }
     }
   }
-  return dense;
 }
-
-namespace {
 
 std::vector<Rect> SweepCellImpl(const Rect& cell,
                                 const std::vector<Vec2>& positions, double l,
@@ -91,60 +95,49 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
   }
   if (static_cast<int64_t>(positions.size()) < n_min) return result;
 
-  // Entry/exit event lists for incremental band membership: an object at
-  // ox is inside the band centered at x iff ox - l/2 <= x < ox + l/2.
-  struct ByEntry {
-    double entry;
-    double y;
-  };
-  std::vector<ByEntry> by_entry;
+  // (coordinate, y) entry and exit lists for incremental band membership:
+  // an object at ox is inside the band centered at x iff
+  // ox - l/2 <= x < ox + l/2.
+  std::vector<std::pair<double, double>> by_entry, by_exit;
   by_entry.reserve(positions.size());
-  std::vector<std::pair<double, double>> by_exit;  // (exit coordinate, y)
   by_exit.reserve(positions.size());
-  std::vector<double> x_candidates;
-  x_candidates.reserve(positions.size() * 2);
   for (const Vec2& p : positions) {
-    by_entry.push_back({p.x - l / 2, p.y});
+    by_entry.emplace_back(p.x - l / 2, p.y);
     by_exit.emplace_back(p.x + l / 2, p.y);
-    x_candidates.push_back(p.x - l / 2);
-    x_candidates.push_back(p.x + l / 2);
   }
-  std::sort(by_entry.begin(), by_entry.end(),
-            [](const ByEntry& a, const ByEntry& b) { return a.entry < b.entry; });
+  std::sort(by_entry.begin(), by_entry.end());
   std::sort(by_exit.begin(), by_exit.end());
+  std::vector<double> events;
+  MergeEvents(cell.x_lo, cell.x_hi, by_entry, by_exit,
+              [](const std::pair<double, double>& e) { return e.first; },
+              &events);
 
-  const std::vector<double> events =
-      BuildEvents(cell.x_lo, cell.x_hi, x_candidates);
-
-  // Ordered multiset of y-coordinates of current band members.
-  std::multiset<double> band_ys;
+  // Sorted y-coordinates of the current band members: the Y-sweep's input.
+  std::vector<double> band;
+  YSweepBuffers buf;
   size_t next_entry = 0;
   size_t next_exit = 0;
-
-  std::vector<double> ys;  // reused scratch for dense strips
   for (size_t i = 0; i + 1 < events.size(); ++i) {
     if (ctl != nullptr) ctl->Check();  // cancellation point per X-strip
     const double x = events[i];
     if (stats != nullptr) ++stats->x_strips;
     // Admit objects whose entry coordinate has been reached...
-    while (next_entry < by_entry.size() && by_entry[next_entry].entry <= x) {
-      band_ys.insert(by_entry[next_entry].y);
-      ++next_entry;
+    while (next_entry < by_entry.size() && by_entry[next_entry].first <= x) {
+      const double y = by_entry[next_entry++].second;
+      band.insert(std::upper_bound(band.begin(), band.end(), y), y);
     }
     // ...and expel objects whose exit coordinate has been reached.
     while (next_exit < by_exit.size() && by_exit[next_exit].first <= x) {
-      auto it = band_ys.find(by_exit[next_exit].second);
-      assert(it != band_ys.end());
-      band_ys.erase(it);
-      ++next_exit;
+      const double y = by_exit[next_exit++].second;
+      const auto it = std::lower_bound(band.begin(), band.end(), y);
+      assert(it != band.end() && *it == y);
+      band.erase(it);
     }
-    if (static_cast<int64_t>(band_ys.size()) < n_min) continue;
+    if (static_cast<int64_t>(band.size()) < n_min) continue;
     if (stats != nullptr) ++stats->y_sweeps;
 
-    ys.assign(band_ys.begin(), band_ys.end());
-    const auto segments =
-        SweepY(ys, cell.y_lo, cell.y_hi, l, n_min, stats, ctl);
-    for (const auto& [y_lo, y_hi] : segments) {
+    SweepYInto(band, cell.y_lo, cell.y_hi, l, n_min, stats, ctl, &buf);
+    for (const auto& [y_lo, y_hi] : buf.segments) {
       result.emplace_back(x, y_lo, events[i + 1], y_hi);
       if (stats != nullptr) ++stats->dense_rects;
     }
@@ -153,6 +146,14 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
 }
 
 }  // namespace
+
+std::vector<std::pair<double, double>> SweepY(
+    const std::vector<double>& sorted_ys, double y_b, double y_t, double l,
+    int64_t n_min, SweepStats* stats, const QueryControl* ctl) {
+  YSweepBuffers buf;
+  SweepYInto(sorted_ys, y_b, y_t, l, n_min, stats, ctl, &buf);
+  return std::move(buf.segments);
+}
 
 std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,

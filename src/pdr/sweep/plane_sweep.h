@@ -14,9 +14,21 @@
 // (Lemma 2), yielding dense segments [y_j, y_{j+1}) and hence dense
 // rectangles [x_i, x_{i+1}) x [y_j, y_{j+1}).
 //
-// Band membership is maintained incrementally with entry/exit event lists
-// and an ordered multiset of member y-coordinates, so a cell with k nearby
-// objects costs O(k log k + sum over dense strips of the Y-sweep).
+// Structures. The entry (ox - l/2, oy) and exit (ox + l/2, oy) lists are
+// sorted once per cell; the X events are their merge. The band is a sorted
+// vector of member y-coordinates (insert at the upper bound, erase one at
+// the lower bound), which is the Y-sweep's sorted input as it stands. The
+// Y-sweep writes entries oy - l/2 and exits oy + l/2 in band order, sorted
+// because rounding is monotone (a <= b implies fl(a - c) <= fl(b - c)),
+// merges them into its events (clipped to (y_b, y_t), repeats dropped),
+// and counts members with two forward-only cursors. These are the doubles
+// and counts sort + unique and upper_bound would give, so the output is
+// bit-identical to sorting per strip (DESIGN.md §6). Buffers are local to
+// one SweepCell call and reused by all its strips.
+//
+// Cost. A cell with k nearby objects costs O(k log k) for the two sorts,
+// then O(band) per X-strip (one insertion or erasure, plus the Y-sweep when
+// the band meets n_min): O(k log k + sum over strips of band).
 
 #ifndef PDR_SWEEP_PLANE_SWEEP_H_
 #define PDR_SWEEP_PLANE_SWEEP_H_

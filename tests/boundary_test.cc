@@ -81,6 +81,44 @@ TEST(BoundaryTest, OracleCountsClosedTopRightOpenLeftBottom) {
   }
 }
 
+// Three static objects at `pos`, tick 0, in an FR engine with cell edge
+// 10 and in the oracle; checks FR and the oracle agree on whether `p` is
+// dense at l with rho = 3 / l^2, and that the oracle's count is `count`.
+void ExpectFrAgreesAtPoint(Vec2 pos, double l, Vec2 p, int64_t count) {
+  FrEngine fr({.extent = 100.0, .histogram_side = 10});
+  Oracle oracle(100.0);
+  for (ObjectId id = 1; id <= 3; ++id) {
+    UpdateEvent e;
+    e.tick = 0;
+    e.id = id;
+    e.new_state = StateReaching(pos, 0, 0, 0);
+    fr.Apply(e);
+    oracle.Apply(e);
+  }
+  const double rho = 3.0 / (l * l);
+  EXPECT_EQ(oracle.CountInSquare(0, p, l), count);
+  EXPECT_EQ(oracle.DenseRegions(0, rho, l).Contains(p), count >= 3);
+  EXPECT_EQ(fr.Query(0, rho, l).region.Contains(p), count >= 3)
+      << "l=" << l << " p=" << p.ToString();
+}
+
+// l a hair above two cells: the l-square of a point at the right edge of
+// cell 0 reaches x = 20, so the expansive block must span two cells each
+// side. One cell (an epsilon before ceil) rejects the cell, and FR misses
+// the dense point.
+TEST(BoundaryTest, FrMatchesOracleWhenLIsAHairAboveTwoCells) {
+  ExpectFrAgreesAtPoint({20.0, 5.0}, 20.00000000001, {9.9999999999999, 5.0},
+                        3);
+}
+
+// l a hair below four cells: the conservative block of cell 1 is that one
+// cell, not three. Three cells (an epsilon before floor) accept cell 1
+// from objects in cell 2 that no l-square centered at x = 10 holds.
+TEST(BoundaryTest, FrMatchesOracleWhenLIsAHairBelowFourCells) {
+  ExpectFrAgreesAtPoint({29.9999999999999, 5.0}, 39.99999999999, {10.0, 5.0},
+                        0);
+}
+
 TEST(BoundaryTest, FrMatchesOracleOnEdgeExactPlacements) {
   for (uint64_t seed = 0; seed < 100; ++seed) {
     Rng rng(seed * 7919 + 13);

@@ -40,6 +40,67 @@ TEST(NeighborhoodTest, ExpansiveHalfWidth) {
   EXPECT_EQ(ExpansiveHalfWidth(60.0, 10.0), 3);
 }
 
+// Sign of n*c - l for 0 <= n < 2^31 and positive finite doubles c and l,
+// from the 53-bit mantissas multiplied in 128-bit integers — arithmetic
+// independent of the fma the filter decides with.
+int ExactSign(int64_t n, double c, double l) {
+  if (n == 0) return -1;
+  int ec = 0, el = 0;
+  const __int128 mc = static_cast<int64_t>(std::ldexp(std::frexp(c, &ec), 53));
+  const __int128 ml = static_cast<int64_t>(std::ldexp(std::frexp(l, &el), 53));
+  // c = mc * 2^(ec-53) and l = ml * 2^(el-53), with mc, ml in [2^52, 2^53).
+  if (ec > el) return 1;        // n*c >= c >= 2^(ec-1) >= 2^el > l
+  if (el - ec > 64) return -1;  // n*c < 2^(ec+31) <= 2^(el-1) <= l
+  const __int128 lhs = mc * n;
+  const __int128 rhs = ml << (el - ec);
+  return lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
+}
+
+// Both half-widths against their defining inequalities, decided exactly,
+// at ratios l/l_c within 0, 1 ulp, 5e-13, 1e-12 and 1e-9 (relative) of
+// every integer up to 40 — where a rounded quotient or an epsilon tips a
+// floor or ceil — for cell edges extent/m and random ones.
+TEST(NeighborhoodTest, HalfWidthsExactAtNearIntegerRatios) {
+  std::vector<double> edges;
+  for (double extent : {3.0, 100.0, 200.0, 1000.0, 1234.5}) {
+    for (int m = 1; m <= 120; ++m) edges.push_back(extent / m);
+  }
+  Rng rng(1212);
+  for (int i = 0; i < 300; ++i) edges.push_back(rng.Uniform(0.01, 100.0));
+  int64_t pairs = 0;
+  for (double lc : edges) {
+    for (int k = 1; k <= 40; ++k) {
+      const double base = k * lc;
+      std::vector<double> ls = {base, std::nextafter(base, 0.0),
+                                std::nextafter(base, 1e300)};
+      for (double delta : {5e-13, 1e-12, 1e-9}) {
+        ls.push_back(base * (1 + delta));
+        ls.push_back(base * (1 - delta));
+      }
+      for (double l : ls) {
+        const int a = ConservativeHalfWidth(l, lc);
+        ASSERT_GE(a, -1);
+        // (2a+2)*l_c <= l < (2a+4)*l_c.
+        ASSERT_LE(ExactSign(2 * (a + 1), lc, l), 0)
+            << "conservative a=" << a << " l=" << l << " l_c=" << lc;
+        ASSERT_GT(ExactSign(2 * (a + 2), lc, l), 0)
+            << "conservative a=" << a << " l=" << l << " l_c=" << lc;
+        const int b = ExpansiveHalfWidth(l, lc);
+        // 2(b-1)*l_c < l <= 2b*l_c.
+        ASSERT_GE(ExactSign(2 * b, lc, l), 0)
+            << "expansive b=" << b << " l=" << l << " l_c=" << lc;
+        ASSERT_TRUE(b == 0 || ExactSign(2 * (b - 1), lc, l) < 0)
+            << "expansive b=" << b << " l=" << l << " l_c=" << lc;
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 100000);
+  // The two ratios the boundary tests drive through FR end to end.
+  EXPECT_EQ(ExpansiveHalfWidth(20.00000000001, 10.0), 2);
+  EXPECT_EQ(ConservativeHalfWidth(39.99999999999, 10.0), 0);
+}
+
 TEST(NeighborhoodTest, ConservativeBlockInsideEveryLSquare) {
   // Geometric soundness of the half-width formula itself: for any point p
   // in a cell, the conservative block is inside S_l(p).

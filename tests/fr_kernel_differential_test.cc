@@ -1,0 +1,580 @@
+// FR's refinement kernel and the region algebra against a reference
+// implementation.
+//
+// SweepCell keeps the band as a sorted vector, merges its entry and exit
+// lists into the Y events and counts with two cursors; the region algebra
+// keeps its active intervals in sorted vectors, and the boolean operations
+// stitch each slab's result directly. The reference below is the
+// straightforward form of the same algorithms: an ordered multiset for the
+// band, the band copied and three arrays sorted for every Y-sweep, counts
+// by binary search, a map of active intervals, and boolean operations that
+// emit one rect per slab interval and then run Coalesced() over them.
+// The two must agree bit for bit — every rect (memcmp) and every
+// SweepStats counter — over cells built to collide (coincident points,
+// shared coordinates, points on the cell's and on the l/2-expanded
+// window's edges), random overlapping rect sets on a continuous range and
+// on a lattice, and exact FR answers of a seeded 10k-object model at
+// consecutive ticks, queried on 4 threads.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "pdr/common/random.h"
+#include "pdr/common/region.h"
+#include "pdr/core/fr_engine.h"
+#include "pdr/histogram/filter.h"
+#include "pdr/mobility/generator.h"
+#include "pdr/parallel/exec_policy.h"
+#include "pdr/sweep/plane_sweep.h"
+
+namespace pdr {
+namespace {
+
+using Intervals = std::vector<std::pair<double, double>>;
+
+// --- Reference plane sweep ---------------------------------------------------
+
+std::vector<double> RefEvents(double lo, double hi,
+                              const std::vector<double>& candidates) {
+  std::vector<double> events;
+  events.push_back(lo);
+  for (double c : candidates) {
+    if (c > lo && c < hi) events.push_back(c);
+  }
+  events.push_back(hi);
+  std::sort(events.begin(), events.end());
+  events.erase(std::unique(events.begin(), events.end()), events.end());
+  return events;
+}
+
+Intervals RefSweepY(const std::vector<double>& sorted_ys, double y_b,
+                    double y_t, double l, int64_t n_min, SweepStats* stats) {
+  std::vector<double> entries, exits, candidates;
+  for (double oy : sorted_ys) {
+    entries.push_back(oy - l / 2);
+    exits.push_back(oy + l / 2);
+    candidates.push_back(oy - l / 2);
+    candidates.push_back(oy + l / 2);
+  }
+  std::sort(entries.begin(), entries.end());
+  std::sort(exits.begin(), exits.end());
+  const std::vector<double> events = RefEvents(y_b, y_t, candidates);
+  Intervals dense;
+  for (size_t j = 0; j + 1 < events.size(); ++j) {
+    ++stats->y_strips;
+    const double y = events[j];
+    const int64_t count =
+        (std::upper_bound(entries.begin(), entries.end(), y) -
+         entries.begin()) -
+        (std::upper_bound(exits.begin(), exits.end(), y) - exits.begin());
+    if (count >= n_min) {
+      if (!dense.empty() && dense.back().second == y) {
+        dense.back().second = events[j + 1];
+      } else {
+        dense.emplace_back(y, events[j + 1]);
+      }
+    }
+  }
+  return dense;
+}
+
+std::vector<Rect> RefSweepCell(const Rect& cell,
+                               const std::vector<Vec2>& positions, double l,
+                               int64_t n_min, SweepStats* stats) {
+  std::vector<Rect> result;
+  if (n_min <= 0) {
+    result.push_back(cell);
+    ++stats->dense_rects;
+    return result;
+  }
+  if (static_cast<int64_t>(positions.size()) < n_min) return result;
+  std::vector<std::pair<double, double>> by_entry, by_exit;
+  std::vector<double> candidates;
+  for (const Vec2& p : positions) {
+    by_entry.emplace_back(p.x - l / 2, p.y);
+    by_exit.emplace_back(p.x + l / 2, p.y);
+    candidates.push_back(p.x - l / 2);
+    candidates.push_back(p.x + l / 2);
+  }
+  std::sort(by_entry.begin(), by_entry.end());
+  std::sort(by_exit.begin(), by_exit.end());
+  const std::vector<double> events =
+      RefEvents(cell.x_lo, cell.x_hi, candidates);
+  std::multiset<double> band;
+  size_t next_entry = 0, next_exit = 0;
+  for (size_t i = 0; i + 1 < events.size(); ++i) {
+    const double x = events[i];
+    ++stats->x_strips;
+    while (next_entry < by_entry.size() && by_entry[next_entry].first <= x) {
+      band.insert(by_entry[next_entry++].second);
+    }
+    while (next_exit < by_exit.size() && by_exit[next_exit].first <= x) {
+      band.erase(band.find(by_exit[next_exit++].second));
+    }
+    if (static_cast<int64_t>(band.size()) < n_min) continue;
+    ++stats->y_sweeps;
+    const std::vector<double> ys(band.begin(), band.end());
+    for (const auto& [y_lo, y_hi] :
+         RefSweepY(ys, cell.y_lo, cell.y_hi, l, n_min, stats)) {
+      result.emplace_back(x, y_lo, events[i + 1], y_hi);
+      ++stats->dense_rects;
+    }
+  }
+  return result;
+}
+
+// --- Reference region algebra ------------------------------------------------
+
+struct RefXEvent {
+  double x;
+  bool open;
+  double y_lo, y_hi;
+};
+
+std::vector<RefXEvent> RefXEvents(const std::vector<Rect>& rects) {
+  std::vector<RefXEvent> events;
+  for (const Rect& r : rects) {
+    if (r.Empty()) continue;
+    events.push_back({r.x_lo, true, r.y_lo, r.y_hi});
+    events.push_back({r.x_hi, false, r.y_lo, r.y_hi});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const RefXEvent& a, const RefXEvent& b) { return a.x < b.x; });
+  return events;
+}
+
+class RefActive {
+ public:
+  void Apply(const std::vector<RefXEvent>& events, double x, size_t* i) {
+    for (; *i < events.size() && events[*i].x == x; ++*i) {
+      const RefXEvent& e = events[*i];
+      const std::pair<double, double> key(e.y_lo, e.y_hi);
+      if (e.open) {
+        ++counts_[key];
+      } else if (--counts_[key] == 0) {
+        counts_.erase(key);
+      }
+    }
+  }
+  bool Empty() const { return counts_.empty(); }
+  Intervals MergedUnion() const {
+    Intervals merged;
+    for (const auto& [iv, count] : counts_) {
+      (void)count;
+      if (!merged.empty() && iv.first <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, iv.second);
+      } else {
+        merged.push_back(iv);
+      }
+    }
+    return merged;
+  }
+
+ private:
+  std::map<std::pair<double, double>, int> counts_;
+};
+
+double Length(const Intervals& ivs) {
+  double len = 0;
+  for (const auto& [lo, hi] : ivs) len += hi - lo;
+  return len;
+}
+
+Region RefCoalesced(const Region& region) {
+  const std::vector<RefXEvent> events = RefXEvents(region.rects());
+  RefActive active;
+  SlabStitcher stitcher;
+  size_t i = 0;
+  while (i < events.size()) {
+    const double x = events[i].x;
+    active.Apply(events, x, &i);
+    stitcher.Cut(x, active.MergedUnion());
+  }
+  return stitcher.Take();
+}
+
+Intervals RefDifference(const Intervals& a, const Intervals& b) {
+  Intervals out;
+  size_t j = 0;
+  for (auto [lo, hi] : a) {
+    double cursor = lo;
+    while (j < b.size() && b[j].second <= cursor) ++j;
+    for (size_t k = j; k < b.size() && b[k].first < hi; ++k) {
+      if (b[k].first > cursor) out.emplace_back(cursor, b[k].first);
+      cursor = std::max(cursor, b[k].second);
+      if (cursor >= hi) break;
+    }
+    if (cursor < hi) out.emplace_back(cursor, hi);
+  }
+  return out;
+}
+
+Intervals RefIntersection(const Intervals& a, const Intervals& b) {
+  Intervals out;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const double lo = std::max(a[i].first, b[j].first);
+    const double hi = std::min(a[i].second, b[j].second);
+    if (hi > lo) out.emplace_back(lo, hi);
+    if (a[i].second < b[j].second) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+// Walks the merged slabs of `a` and `b`: visit(x_lo, x_hi, A, B) per slab.
+template <typename Visit>
+void RefSlabs(const Region& a, const Region& b, const Visit& visit) {
+  const std::vector<RefXEvent> ea = RefXEvents(a.rects());
+  const std::vector<RefXEvent> eb = RefXEvents(b.rects());
+  RefActive active_a, active_b;
+  size_t i = 0, j = 0;
+  double prev_x = 0;
+  bool have_prev = false;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  while (i < ea.size() || j < eb.size()) {
+    const double x = std::min(i < ea.size() ? ea[i].x : kInf,
+                              j < eb.size() ? eb[j].x : kInf);
+    if (have_prev && x > prev_x) {
+      visit(prev_x, x, active_a.MergedUnion(), active_b.MergedUnion());
+    }
+    active_a.Apply(ea, x, &i);
+    active_b.Apply(eb, x, &j);
+    prev_x = x;
+    have_prev = true;
+  }
+}
+
+template <typename Combine>
+Region RefBoolean(const Region& a, const Region& b, const Combine& combine) {
+  Region out;
+  RefSlabs(a, b,
+           [&](double x_lo, double x_hi, const Intervals& ia,
+               const Intervals& ib) {
+             for (const auto& [lo, hi] : combine(ia, ib)) {
+               out.Add(Rect(x_lo, lo, x_hi, hi));
+             }
+           });
+  return RefCoalesced(out);
+}
+
+Region RefRegionDifference(const Region& a, const Region& b) {
+  if (a.IsEmpty()) return Region();
+  if (b.IsEmpty()) return RefCoalesced(a);
+  return RefBoolean(a, b, RefDifference);
+}
+
+Region RefRegionIntersection(const Region& a, const Region& b) {
+  if (a.IsEmpty() || b.IsEmpty()) return Region();
+  return RefBoolean(a, b, RefIntersection);
+}
+
+double RefUnionArea(const Region& a) {
+  double area = 0;
+  RefSlabs(a, Region(), [&](double x_lo, double x_hi, const Intervals& ia,
+                            const Intervals&) {
+    area += Length(ia) * (x_hi - x_lo);
+  });
+  return area;
+}
+
+double RefIntersectionArea(const Region& a, const Region& b) {
+  if (a.IsEmpty() || b.IsEmpty()) return 0.0;
+  double area = 0;
+  RefSlabs(a, b, [&](double x_lo, double x_hi, const Intervals& ia,
+                     const Intervals& ib) {
+    if (!ia.empty() && !ib.empty()) {
+      area += Length(RefIntersection(ia, ib)) * (x_hi - x_lo);
+    }
+  });
+  return area;
+}
+
+// --- Comparison helpers ------------------------------------------------------
+
+std::string RectsMismatch(const std::vector<Rect>& got,
+                          const std::vector<Rect>& want) {
+  if (got.size() != want.size()) {
+    return "rect count " + std::to_string(got.size()) + " vs reference " +
+           std::to_string(want.size());
+  }
+  if (!got.empty() &&
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(Rect)) != 0) {
+    return "rects differ bitwise";
+  }
+  return "";
+}
+
+std::string StatsMismatch(const SweepStats& got, const SweepStats& want) {
+  if (got.x_strips == want.x_strips && got.y_sweeps == want.y_sweeps &&
+      got.y_strips == want.y_strips && got.dense_rects == want.dense_rects) {
+    return "";
+  }
+  return "SweepStats x_strips " + std::to_string(got.x_strips) + "/" +
+         std::to_string(want.x_strips) + " y_sweeps " +
+         std::to_string(got.y_sweeps) + "/" + std::to_string(want.y_sweeps) +
+         " y_strips " + std::to_string(got.y_strips) + "/" +
+         std::to_string(want.y_strips) + " dense_rects " +
+         std::to_string(got.dense_rects) + "/" +
+         std::to_string(want.dense_rects);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Positions around `cell` built to collide: coincident points, shared x or
+// y coordinates, points on the cell's edges and on the edges of the
+// l/2-expanded window, a margin of points outside the window. On the
+// lattice every coordinate is a multiple of 1/4, so event coordinates tie
+// across objects as well.
+std::vector<Vec2> CollidingPositions(const Rect& cell, double l, int n,
+                                     bool lattice, Rng* rng) {
+  const Rect window = cell.Expanded(l / 2);
+  const double margin = l / 4;
+  const auto coord = [&](double lo, double hi) {
+    const double v = rng->Uniform(lo - margin, hi + margin);
+    return lattice ? std::round(v * 4) / 4 : v;
+  };
+  const auto any_of = [&](std::initializer_list<double> values) {
+    return values.begin()[rng->UniformInt(0, values.size() - 1)];
+  };
+  std::vector<Vec2> out;
+  out.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    Vec2 p{coord(window.x_lo, window.x_hi), coord(window.y_lo, window.y_hi)};
+    const auto earlier = [&]() {
+      return out[static_cast<size_t>(rng->UniformInt(0, out.size() - 1))];
+    };
+    switch (rng->UniformInt(0, 9)) {
+      case 0:
+        if (!out.empty()) p = earlier();
+        break;
+      case 1:
+        if (!out.empty()) p.x = earlier().x;
+        break;
+      case 2:
+        if (!out.empty()) p.y = earlier().y;
+        break;
+      case 3:
+        p.x = any_of({cell.x_lo, cell.x_hi, window.x_lo, window.x_hi});
+        break;
+      case 4:
+        p.y = any_of({cell.y_lo, cell.y_hi, window.y_lo, window.y_hi});
+        break;
+      default:
+        break;
+    }
+    out.push_back(p);
+  }
+  return out;
+}
+
+// --- Tests -------------------------------------------------------------------
+
+TEST(DifferentialTest, FrSweepKernelMatchesReferenceOnCollidingCells) {
+  Rng rng(1405);
+  int cases = 0;
+  int64_t dense_rects = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const bool lattice = trial % 2 == 1;
+    const double w = lattice ? static_cast<double>(rng.UniformInt(1, 16))
+                             : rng.Uniform(0.5, 20.0);
+    const double x0 = lattice ? static_cast<double>(rng.UniformInt(-8, 8))
+                              : rng.Uniform(-50.0, 50.0);
+    const double y0 = lattice ? static_cast<double>(rng.UniformInt(-8, 8))
+                              : rng.Uniform(-50.0, 50.0);
+    // Now and then a degenerate cell: one event on that axis, no strip.
+    const Rect cell(x0, y0, trial % 50 == 3 ? x0 : x0 + w,
+                    trial % 50 == 4 ? y0 : y0 + w);
+    // l both narrower and wider than the cell.
+    double l = w * rng.Uniform(0.2, 4.0);
+    if (lattice) l = std::max(0.5, std::round(l * 2) / 2);
+    int n = static_cast<int>(rng.UniformInt(0, 160));
+    if (trial % 500 == 7) n = 2048;
+    const int64_t n_min = rng.UniformInt(0, 12);
+    const std::vector<Vec2> positions =
+        CollidingPositions(cell, l, n, lattice, &rng);
+
+    SweepStats want_stats, got_stats;
+    const std::vector<Rect> want =
+        RefSweepCell(cell, positions, l, n_min, &want_stats);
+    const std::vector<Rect> got =
+        SweepCell(cell, positions, l, n_min, &got_stats);
+    const std::string where = "trial " + std::to_string(trial) + " n=" +
+                              std::to_string(n) + " n_min=" +
+                              std::to_string(n_min) + ": ";
+    const std::string rects = RectsMismatch(got, want);
+    ASSERT_TRUE(rects.empty()) << where << rects;
+    const std::string stats = StatsMismatch(got_stats, want_stats);
+    ASSERT_TRUE(stats.empty()) << where << stats;
+
+    // The Y-sweep alone over every position's y.
+    std::vector<double> ys;
+    for (const Vec2& p : positions) ys.push_back(p.y);
+    std::sort(ys.begin(), ys.end());
+    SweepStats want_y, got_y;
+    const Intervals want_seg =
+        RefSweepY(ys, cell.y_lo, cell.y_hi, l, n_min, &want_y);
+    const Intervals got_seg = SweepY(ys, cell.y_lo, cell.y_hi, l, n_min, &got_y);
+    ASSERT_EQ(got_seg.size(), want_seg.size()) << where;
+    ASSERT_TRUE(got_seg.empty() ||
+                std::memcmp(got_seg.data(), want_seg.data(),
+                            got_seg.size() * sizeof(got_seg[0])) == 0)
+        << where << "SweepY segments differ bitwise";
+    ASSERT_EQ(got_y.y_strips, want_y.y_strips) << where;
+    dense_rects += static_cast<int64_t>(want.size());
+    ++cases;
+  }
+  EXPECT_EQ(cases, 2000);
+  EXPECT_GT(dense_rects, 10000);  // the comparison is not vacuous
+}
+
+TEST(DifferentialTest, FrSweepKernelMatchesReferenceOn4096ObjectCell) {
+  Rng rng(4096);
+  const Rect cell(100.0, 200.0, 110.0, 210.0);
+  for (double l : {2.5, 16.0}) {
+    const std::vector<Vec2> positions =
+        CollidingPositions(cell, l, 4096, /*lattice=*/l == 2.5, &rng);
+    const int64_t n_min = l == 2.5 ? 12 : 400;
+    SweepStats want_stats, got_stats;
+    const std::vector<Rect> want =
+        RefSweepCell(cell, positions, l, n_min, &want_stats);
+    const std::vector<Rect> got =
+        SweepCell(cell, positions, l, n_min, &got_stats);
+    EXPECT_GT(want.size(), 0u) << "l=" << l;
+    EXPECT_EQ(RectsMismatch(got, want), "") << "l=" << l;
+    EXPECT_EQ(StatsMismatch(got_stats, want_stats), "") << "l=" << l;
+  }
+}
+
+// Random rect sets: overlapping, nested, duplicated and edge-sharing.
+Region RandomRects(int n, bool lattice, Rng* rng) {
+  Region out;
+  for (int i = 0; i < n; ++i) {
+    double x = rng->Uniform(0, 100), y = rng->Uniform(0, 100);
+    double w = rng->Uniform(0.5, 30), h = rng->Uniform(0.5, 30);
+    if (lattice) {
+      x = std::floor(x / 5) * 5;
+      y = std::floor(y / 5) * 5;
+      w = std::ceil(w / 5) * 5;
+      h = std::ceil(h / 5) * 5;
+    }
+    out.Add(Rect(x, y, x + w, y + h));
+    if (!out.IsEmpty() && rng->Bernoulli(0.1)) out.Add(out.rects().back());
+  }
+  return out;
+}
+
+void ExpectRegionOpsMatch(const Region& a, const Region& b,
+                          const std::string& where) {
+  EXPECT_EQ(RectsMismatch(a.Coalesced().rects(), RefCoalesced(a).rects()), "")
+      << where << "Coalesced";
+  EXPECT_EQ(RectsMismatch(RegionDifference(a, b).rects(),
+                          RefRegionDifference(a, b).rects()),
+            "")
+      << where << "a \\ b";
+  EXPECT_EQ(RectsMismatch(RegionDifference(b, a).rects(),
+                          RefRegionDifference(b, a).rects()),
+            "")
+      << where << "b \\ a";
+  EXPECT_EQ(RectsMismatch(RegionIntersection(a, b).rects(),
+                          RefRegionIntersection(a, b).rects()),
+            "")
+      << where << "a ∩ b";
+  EXPECT_TRUE(SameBits(a.Area(), RefUnionArea(a))) << where << "Area";
+  EXPECT_TRUE(SameBits(IntersectionArea(a, b), RefIntersectionArea(a, b)))
+      << where << "IntersectionArea";
+}
+
+TEST(DifferentialTest, RegionOpsMatchReferenceOnRandomRectSets) {
+  Rng rng(77);
+  int64_t rects = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const bool lattice = trial % 2 == 0;
+    const Region a =
+        RandomRects(static_cast<int>(rng.UniformInt(0, 120)), lattice, &rng);
+    const Region b =
+        RandomRects(static_cast<int>(rng.UniformInt(0, 120)), lattice, &rng);
+    rects += static_cast<int64_t>(RefRegionDifference(a, b).size());
+    ExpectRegionOpsMatch(a, b, "trial " + std::to_string(trial) + ": ");
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(rects, 10000);
+}
+
+// The reference assembly of one FR answer: the engine's own filter and
+// range queries, the reference sweep per candidate cell, the row-major
+// merge with the accepted cells, the reference Coalesced().
+Region RefFrAnswer(FrEngine& fr, Tick q_t, double rho, double l,
+                   SweepStats* stats) {
+  const Grid& grid = fr.histogram().grid();
+  const FilterResult filter = FilterCells(fr.histogram(), q_t, rho, l);
+  const int64_t n_min = MinObjectsForDensity(rho, l);
+  Region region;
+  for (int row = 0; row < grid.cells_per_side(); ++row) {
+    for (int col = 0; col < grid.cells_per_side(); ++col) {
+      const Rect cell = grid.CellRect(col, row);
+      const CellClass cls = filter.At(col, row);
+      if (cls == CellClass::kAccept) region.Add(cell);
+      if (cls != CellClass::kCandidate) continue;
+      std::vector<Vec2> positions;
+      for (const auto& [id, state] :
+           fr.index().RangeQuery(cell.Expanded(l / 2), q_t)) {
+        (void)id;
+        const Vec2 p = state.PositionAt(q_t);
+        if (grid.InDomain(p)) positions.push_back(p);
+      }
+      for (const Rect& r : RefSweepCell(cell, positions, l, n_min, stats)) {
+        region.Add(r);
+      }
+    }
+  }
+  return RefCoalesced(region);
+}
+
+TEST(DifferentialTest, FrQueryAndDeltasMatchReferenceOn10kObjectModel) {
+  constexpr double kExtent = 1000.0;
+  constexpr int kObjects = 10000;
+  FrEngine fr({.extent = kExtent, .histogram_side = 100, .horizon = 20});
+  fr.SetExecPolicy(ExecPolicy::Parallel(4));
+  Rng rng(10000);
+  for (UpdateEvent e :
+       MakeClusteredInserts(kObjects, 12, kExtent, 40.0, 0.3, 10000)) {
+    e.new_state->vel = {rng.Uniform(-1.5, 1.5), rng.Uniform(-1.5, 1.5)};
+    fr.Apply(e);
+  }
+  const double rho = 3.0 * kObjects / (kExtent * kExtent);
+  const double l = 30.0;
+  Region previous;
+  for (Tick q_t = 4; q_t <= 5; ++q_t) {
+    const std::string where = "q_t=" + std::to_string(q_t) + ": ";
+    SweepStats want_stats;
+    const Region want = RefFrAnswer(fr, q_t, rho, l, &want_stats);
+    const FrEngine::QueryResult got = fr.Query(q_t, rho, l);
+    EXPECT_GT(want.size(), 100u) << where;
+    EXPECT_EQ(RectsMismatch(got.region.rects(), want.rects()), "") << where;
+    EXPECT_EQ(StatsMismatch(got.sweep, want_stats), "") << where;
+    if (!previous.IsEmpty()) {
+      // The monitor's delta between consecutive answers, both ways.
+      EXPECT_GT(RefRegionDifference(got.region, previous).size(), 0u);
+      ExpectRegionOpsMatch(got.region, previous, where);
+    }
+    previous = got.region;
+  }
+}
+
+}  // namespace
+}  // namespace pdr
