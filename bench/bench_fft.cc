@@ -10,7 +10,7 @@
 //                            O(n + m^2) for n objects and each distinct
 //                            half-width O(m^2).
 //   fft_batch_amortization   per-query cost of answering N (rho, l) pairs
-//                            against one tick's field via QueryBatch: one
+//                            against one tick's cached field: one
 //                            field regardless of N, so per-query cost
 //                            should fall toward the pure classification
 //                            cost as N grows. fields_built counts the
@@ -77,18 +77,18 @@ int main(int argc, char** argv) {
     ReplayInto(w.dataset, -1, &fft);
     // N standing queries against the same tick, thresholds spread around
     // the paper's rho so classification outcomes differ per query.
-    std::vector<FftDensityEngine::BatchQuery> batch;
+    std::vector<double> rhos;
     for (int i = 0; i < n; ++i) {
-      batch.push_back({rho * (0.5 + 1.5 * i / std::max(1, n - 1)), l});
+      rhos.push_back(rho * (0.5 + 1.5 * i / std::max(1, n - 1)));
     }
-    if (n == 1) batch[0] = {rho, l};
+    if (n == 1) rhos[0] = rho;
     const int64_t built_before = FieldsBuilt().value();
     Timer timer;
-    const auto results = fft.QueryBatch(q_t, batch);
+    for (const double r : rhos) fft.Query(q_t, r, l);
     const double total_ms = timer.ElapsedMillis();
     const int64_t built =
         FieldsBuilt().value() - built_before;
-    amortized.Row({static_cast<double>(results.size()),
+    amortized.Row({static_cast<double>(rhos.size()),
                    static_cast<double>(built), total_ms, total_ms / n});
   }
   amortized.Flush();

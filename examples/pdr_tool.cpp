@@ -116,6 +116,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -256,6 +257,37 @@ ExecPolicy ExecFromFlags(const std::map<std::string, std::string>& flags) {
   return threads == 1 ? ExecPolicy::Serial() : ExecPolicy::Parallel(threads);
 }
 
+// The one serving configuration every command builds its FR engine from:
+// a 100x100 histogram, H = 2U, the paper's buffer pool, 10 ms per modeled
+// read, and --index / --threads (defaults where a command takes neither).
+// Callers add storage_dir or snapshots themselves.
+FrEngine::Options FrOptionsFor(
+    const Dataset& ds, const std::map<std::string, std::string>& flags) {
+  return {.extent = ds.config.extent,
+          .histogram_side = 100,
+          .horizon = 2 * ds.config.max_update_interval,
+          .buffer_pages = PaperConfig().BufferPagesFor(ds.config.num_objects),
+          .io_ms = 10.0,
+          .index = FlagOr(flags, "index", "tpr") == "bx" ? IndexKind::kBxTree
+                                                         : IndexKind::kTprTree,
+          .max_update_interval = ds.config.max_update_interval,
+          .exec = ExecFromFlags(flags)};
+}
+
+// Its PA twin at the query's l: g = 10 macro-cells per side, --degree
+// (default 5), and m_d = 1000.
+PaEngine::Options PaOptionsFor(
+    const Dataset& ds, double l,
+    const std::map<std::string, std::string>& flags) {
+  return {.extent = ds.config.extent,
+          .poly_side = 10,
+          .degree = std::stoi(FlagOr(flags, "degree", "5")),
+          .horizon = 2 * ds.config.max_update_interval,
+          .l = l,
+          .eval_grid = 1000,
+          .exec = ExecFromFlags(flags)};
+}
+
 // --flight-dir=DIR arms the flight recorder with every dump trigger
 // pointing at DIR. Returns false (after reporting) when the directory
 // cannot be created.
@@ -307,7 +339,8 @@ int Usage() {
       "           [--deadline-ms D] [--max-inflight M] [--degrade 0|1] "
       "[--flight-dir DIR] [--slo-ms D]\n"
       "           [--concurrent N]  (MVCC mode: N snapshot-reader "
-      "threads run against the update stream)\n"
+      "threads run against the update stream; takes only --lookahead "
+      "and --threads)\n"
       "           [--wal-dir DIR] [--checkpoint-every K] "
       "[--scrub-budget P]  (durable standing query; scrub P pages per "
       "evaluated tick)\n"
@@ -393,30 +426,13 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   std::printf("query: rho=%.4g (varrho=%g), l=%g, q_t=%d (now=%d)\n", rho,
               varrho, l, q_t, now);
 
-  const Tick horizon = 2 * ds.config.max_update_interval;
-
   const double deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
   if (deadline_ms > 0.0) {
     // Deadline-bounded query: exact FR first; on overrun the degradation
     // ladder falls back to PA approximate, then to the histogram floor
     // (--degrade=0 fails the query instead of degrading).
-    FrEngine fr({.extent = extent,
-                 .histogram_side = 100,
-                 .horizon = horizon,
-                 .buffer_pages = PaperConfig().BufferPagesFor(
-                     ds.config.num_objects),
-                 .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
-                 .exec = ExecFromFlags(flags)});
-    PaEngine pa({.extent = extent,
-                 .poly_side = 10,
-                 .degree = 5,
-                 .horizon = horizon,
-                 .l = l,
-                 .eval_grid = 1000,
-                 .exec = ExecFromFlags(flags)});
+    FrEngine fr(FrOptionsFor(ds, flags));
+    PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &fr);
     ReplayInto(ds, -1, &pa);
     ResilienceOptions opts;
@@ -441,24 +457,16 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   }
 
   if (engine == "fft") {
-    // FFT whole-plane rung: one transform answers the query with a
-    // conservative subset + optimistic superset sandwich around exact.
-    // Pinned via the ladder (enable_exact=false) so the answer carries
-    // the same TieredResult provenance a degraded server would emit.
-    FrEngine fr({.extent = extent,
-                 .histogram_side = 100,
-                 .horizon = horizon,
-                 .buffer_pages = PaperConfig().BufferPagesFor(
-                     ds.config.num_objects),
-                 .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
-                 .exec = ExecFromFlags(flags)});
+    // FFT whole-plane rung: one summed-area table over the raster answers
+    // the query with a conservative subset + optimistic superset sandwich
+    // around exact. Pinned via the ladder (enable_exact=false) so the
+    // answer carries the same TieredResult provenance a degraded server
+    // would emit.
+    FrEngine fr(FrOptionsFor(ds, flags));
     FftDensityEngine fft(
         {.extent = extent,
          .grid = std::stoi(FlagOr(flags, "fft-grid", "128")),
-         .horizon = horizon});
+         .horizon = fr.options().horizon});
     ReplayInto(ds, -1, &fr);
     ReplayInto(ds, -1, &fft);
     ResilienceOptions opts;
@@ -479,16 +487,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   }
 
   if (engine == "fr" || engine == "both") {
-    FrEngine fr({.extent = extent,
-                 .histogram_side = 100,
-                 .horizon = horizon,
-                 .buffer_pages = PaperConfig().BufferPagesFor(
-                     ds.config.num_objects),
-                 .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
-                 .exec = ExecFromFlags(flags)});
+    FrEngine fr(FrOptionsFor(ds, flags));
     ReplayInto(ds, -1, &fr);
     const auto result = fr.Query(q_t, rho, l, /*cold_cache=*/true);
     std::printf(
@@ -505,13 +504,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     }
   }
   if (engine == "pa" || engine == "both") {
-    PaEngine pa({.extent = extent,
-                 .poly_side = 10,
-                 .degree = 5,
-                 .horizon = horizon,
-                 .l = l,
-                 .eval_grid = 1000,
-                 .exec = ExecFromFlags(flags)});
+    PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &pa);
     const auto result = pa.Query(q_t, rho);
     std::printf("PA: %zu rects, %.1f sq-miles | %.1f ms CPU, no I/O\n",
@@ -539,22 +532,8 @@ int RunExplain(const std::map<std::string, std::string>& flags) {
   }
   if (!ArmFlightRecorder(flags)) return 1;
 
-  const Tick horizon = 2 * ds.config.max_update_interval;
-  FrEngine fr({.extent = extent,
-               .histogram_side = 100,
-               .horizon = horizon,
-               .buffer_pages =
-                   PaperConfig().BufferPagesFor(ds.config.num_objects),
-               .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
-               .exec = ExecFromFlags(flags)});
-  PaEngine pa({.extent = extent,
-               .poly_side = 10,
-               .degree = 5,
-               .horizon = horizon,
-               .l = l,
-               .eval_grid = 1000,
-               .exec = ExecFromFlags(flags)});
+  FrEngine fr(FrOptionsFor(ds, flags));
+  PaEngine pa(PaOptionsFor(ds, l, flags));
   ReplayInto(ds, -1, &fr);
   ReplayInto(ds, -1, &pa);
 
@@ -578,8 +557,21 @@ int RunExplain(const std::map<std::string, std::string>& flags) {
 // (this one) commits the update stream epoch by epoch at full rate while
 // N reader threads hammer RunSnapshotQuery; no reader ever blocks the
 // writer. Readers cross-check each other: all answers pinned to the same
-// epoch must carry the same transcript digest.
+// epoch must carry the same transcript digest. The first error on any
+// thread stops the run and is rethrown once every thread has joined.
 int RunMonitorConcurrent(const std::map<std::string, std::string>& flags) {
+  // The concurrent path implements only these; refusing the rest keeps
+  // the tool's contract that no flag is silently ignored.
+  static const std::set<std::string> kConcurrentFlags = {
+      "in", "varrho", "l", "lookahead", "threads", "concurrent"};
+  for (const auto& [flag, value] : flags) {
+    if (kConcurrentFlags.count(flag) == 0) {
+      std::fprintf(stderr,
+                   "error: --%s is not supported by 'monitor --concurrent'\n",
+                   flag.c_str());
+      return 2;
+    }
+  }
   const Dataset ds = LoadDataset(FlagOr(flags, "in", ""));
   const double varrho = std::stod(FlagOr(flags, "varrho", "1"));
   const double l = std::stod(FlagOr(flags, "l", "30"));
@@ -590,37 +582,44 @@ int RunMonitorConcurrent(const std::map<std::string, std::string>& flags) {
   const double rho = varrho * ds.config.num_objects / (extent * extent);
 
   mvcc::SnapshotManager snapshots;
-  FrEngine fr({.extent = extent,
-               .histogram_side = 100,
-               .horizon = 2 * ds.config.max_update_interval,
-               .buffer_pages =
-                   PaperConfig().BufferPagesFor(ds.config.num_objects),
-               .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
-               .snapshots = &snapshots});
+  FrEngine::Options fr_options = FrOptionsFor(ds, flags);
+  fr_options.snapshots = &snapshots;
+  FrEngine fr(fr_options);
   PdrMonitor monitor(&fr, {.rho = rho, .l = l, .lookahead = lookahead});
   monitor.StartConcurrent();
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> queries{0};
   std::atomic<int64_t> inconsistent{0};
-  std::mutex check_mu;
+  std::mutex check_mu;  // guards epoch_digest and failure
   std::map<uint64_t, uint64_t> epoch_digest;
+  std::exception_ptr failure;
+  const auto fail = [&] {  // call from a catch handler
+    std::lock_guard<std::mutex> lock(check_mu);
+    if (failure == nullptr) failure = std::current_exception();
+    done.store(true, std::memory_order_release);
+  };
   std::vector<std::thread> pool;
   pool.reserve(static_cast<size_t>(readers));
   for (int r = 0; r < readers; ++r) {
     pool.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        const PdrMonitor::Delta delta = monitor.RunSnapshotQuery();
-        const uint64_t digest = TickDigest(delta);
-        {
-          std::lock_guard<std::mutex> lock(check_mu);
-          auto [it, inserted] = epoch_digest.emplace(delta.epoch, digest);
-          if (!inserted && it->second != digest) {
-            inconsistent.fetch_add(1, std::memory_order_relaxed);
+      try {
+        // Every reader answers at least once, even when the writer has
+        // already committed the whole stream.
+        do {
+          const PdrMonitor::Delta delta = monitor.RunSnapshotQuery();
+          const uint64_t digest = TickDigest(delta);
+          {
+            std::lock_guard<std::mutex> lock(check_mu);
+            auto [it, inserted] = epoch_digest.emplace(delta.epoch, digest);
+            if (!inserted && it->second != digest) {
+              inconsistent.fetch_add(1, std::memory_order_relaxed);
+            }
           }
-        }
-        queries.fetch_add(1, std::memory_order_relaxed);
+          queries.fetch_add(1, std::memory_order_relaxed);
+        } while (!done.load(std::memory_order_acquire));
+      } catch (...) {
+        fail();
       }
     });
   }
@@ -628,14 +627,21 @@ int RunMonitorConcurrent(const std::map<std::string, std::string>& flags) {
   Timer timer;
   int64_t updates = 0;
   uint64_t last_epoch = 0;
-  for (Tick now = 0; now <= ds.duration(); ++now) {
-    last_epoch = monitor.ApplyUpdates(now, ds.ticks[now]);
-    updates += static_cast<int64_t>(ds.ticks[now].size());
+  try {
+    for (Tick now = 0;
+         now <= ds.duration() && !done.load(std::memory_order_acquire);
+         ++now) {
+      last_epoch = monitor.ApplyUpdates(now, ds.ticks[now]);
+      updates += static_cast<int64_t>(ds.ticks[now].size());
+    }
+  } catch (...) {
+    fail();
   }
   const double writer_ms = timer.ElapsedMillis();
   done.store(true, std::memory_order_release);
   for (std::thread& t : pool) t.join();
   const double total_ms = timer.ElapsedMillis();
+  if (failure != nullptr) std::rethrow_exception(failure);
 
   const int64_t q = queries.load();
   std::printf("concurrent monitor: %llu epochs committed, %lld updates in "
@@ -669,7 +675,6 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
   const double audit_rate = std::stod(FlagOr(flags, "audit-rate", "0"));
   const std::string report_path = FlagOr(flags, "report", "");
   const Tick interval = std::max(1, std::stoi(FlagOr(flags, "interval", "10")));
-  const int degree = std::stoi(FlagOr(flags, "degree", "5"));
   const bool fail_on_drift = flags.count("fail-on-drift") > 0;
   const bool audit = audit_rate > 0.0;
   const double deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
@@ -735,16 +740,9 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
     MetricsRegistry::Global().ResetAll();
   }
 
-  const Tick horizon = 2 * ds.config.max_update_interval;
-  FrEngine fr({.extent = extent,
-               .histogram_side = 100,
-               .horizon = horizon,
-               .buffer_pages =
-                   PaperConfig().BufferPagesFor(ds.config.num_objects),
-               .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
-               .exec = ExecFromFlags(flags),
-               .storage_dir = wal_dir});
+  FrEngine::Options fr_options = FrOptionsFor(ds, flags);
+  fr_options.storage_dir = wal_dir;
+  FrEngine fr(fr_options);
   CostCalibrator calibrator(&fr);
 
   // Audit mode runs the standing query on PA and shadow-audits against
@@ -754,14 +752,7 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
   std::unique_ptr<ShadowAuditor> auditor;
   std::unique_ptr<PdrMonitor> monitor;
   if (audit) {
-    pa = std::make_unique<PaEngine>(
-        PaEngine::Options{.extent = extent,
-                          .poly_side = 10,
-                          .degree = degree,
-                          .horizon = horizon,
-                          .l = l,
-                          .eval_grid = 1000,
-                          .exec = ExecFromFlags(flags)});
+    pa = std::make_unique<PaEngine>(PaOptionsFor(ds, l, flags));
     oracle = std::make_unique<Oracle>(extent);
     ShadowAuditor::Options audit_options;
     audit_options.sample_rate = audit_rate;
@@ -785,14 +776,7 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
     monitor->SetCalibrator(&calibrator);
     if (deadline_ms > 0.0) {
       // The ladder's approximate rung: a PA model fed the same stream.
-      pa = std::make_unique<PaEngine>(
-          PaEngine::Options{.extent = extent,
-                            .poly_side = 10,
-                            .degree = degree,
-                            .horizon = horizon,
-                            .l = l,
-                            .eval_grid = 1000,
-                            .exec = ExecFromFlags(flags)});
+      pa = std::make_unique<PaEngine>(PaOptionsFor(ds, l, flags));
       monitor->SetFallback(pa.get());
     }
   }
@@ -927,12 +911,10 @@ int RunStats(const std::map<std::string, std::string>& flags) {
   const Tick now = ds.duration();
   const int queries = std::max(1, std::stoi(FlagOr(flags, "queries", "5")));
   const std::string engine = FlagOr(flags, "engine", "both");
-  const std::string index_name = FlagOr(flags, "index", "tpr");
 
   PdrObs::SetEnabled(true);
   MetricsRegistry::Global().ResetAll();
 
-  const Tick horizon = 2 * ds.config.max_update_interval;
   // Query ticks spread over the prediction window [now, now + U/2].
   std::vector<Tick> ticks;
   for (int i = 0; i < queries; ++i) {
@@ -941,27 +923,14 @@ int RunStats(const std::map<std::string, std::string>& flags) {
   }
 
   if (engine == "fr" || engine == "both") {
-    FrEngine fr({.extent = extent,
-                 .histogram_side = 100,
-                 .horizon = horizon,
-                 .buffer_pages = PaperConfig().BufferPagesFor(
-                     ds.config.num_objects),
-                 .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval});
+    FrEngine fr(FrOptionsFor(ds, flags));
     ReplayInto(ds, -1, &fr);
     for (const Tick q_t : ticks) {
       fr.Query(q_t, rho, l, /*cold_cache=*/true);
     }
   }
   if (engine == "pa" || engine == "both") {
-    PaEngine pa({.extent = extent,
-                 .poly_side = 10,
-                 .degree = 5,
-                 .horizon = horizon,
-                 .l = l,
-                 .eval_grid = 1000});
+    PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &pa);
     for (const Tick q_t : ticks) pa.Query(q_t, rho);
   }
@@ -1000,19 +969,11 @@ int RunStats(const std::map<std::string, std::string>& flags) {
 // Shared FR options for the durable subcommands: save and recover must
 // construct the engine identically (extent, histogram, horizon, index) or
 // the recovered metadata will refuse to attach.
-FrEngine::Options DurableOptions(const Dataset& ds,
-                                 const std::string& index_name,
-                                 const std::string& dir) {
-  return {.extent = ds.config.extent,
-          .histogram_side = 100,
-          .horizon = 2 * ds.config.max_update_interval,
-          .buffer_pages =
-              PaperConfig().BufferPagesFor(ds.config.num_objects),
-          .io_ms = 10.0,
-          .index = index_name == "bx" ? IndexKind::kBxTree
-                                      : IndexKind::kTprTree,
-          .max_update_interval = ds.config.max_update_interval,
-          .storage_dir = dir};
+FrEngine::Options DurableOptions(
+    const Dataset& ds, const std::map<std::string, std::string>& flags) {
+  FrEngine::Options options = FrOptionsFor(ds, flags);
+  options.storage_dir = FlagOr(flags, "wal-dir", "");
+  return options;
 }
 
 int RunSave(const std::map<std::string, std::string>& flags) {
@@ -1035,7 +996,7 @@ int RunSave(const std::map<std::string, std::string>& flags) {
   const std::string index_name = FlagOr(flags, "index", "tpr");
   const Tick every = std::stoi(FlagOr(flags, "checkpoint-every", "0"));
 
-  FrEngine fr(DurableOptions(ds, index_name, dir));
+  FrEngine fr(DurableOptions(ds, flags));
   Timer timer;
   Tick since_checkpoint = 0;
   for (Tick now = 0; now <= ds.duration(); ++now) {
@@ -1074,7 +1035,7 @@ int RunRecover(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "wal-dir", "");
   if (dir.empty()) return Usage();
 
-  FrEngine fr(DurableOptions(ds, FlagOr(flags, "index", "tpr"), dir));
+  FrEngine fr(DurableOptions(ds, flags));
   if (!fr.recovered()) {
     std::fprintf(stderr, "error: no durable store in %s\n", dir.c_str());
     return 1;
@@ -1176,8 +1137,10 @@ int RunRecord(const std::map<std::string, std::string>& flags) {
   const double deadline_ms = std::stod(FlagOr(flags, "deadline-ms", "0"));
   if (!ArmFlightRecorder(flags)) return 1;
 
-  // The header mirrors how RunMonitor builds its engines, so a recorded
-  // monitor run and a replay construct identical pipelines.
+  // The header's engine geometry comes from the same option helpers every
+  // other command builds its engines from.
+  const FrEngine::Options fr = FrOptionsFor(ds, flags);
+  const PaEngine::Options pa = PaOptionsFor(ds, l, flags);
   WorkloadLogHeader header;
   header.rho = rho;
   header.l = l;
@@ -1187,15 +1150,15 @@ int RunRecord(const std::map<std::string, std::string>& flags) {
   header.max_inflight = std::stoi(FlagOr(flags, "max-inflight", "0"));
   header.degrade = FlagOr(flags, "degrade", "1") != "0" ? 1 : 0;
   header.has_fallback = deadline_ms > 0.0 ? 1 : 0;
-  header.threads = std::stoi(FlagOr(flags, "threads", "1"));
-  header.histogram_side = 100;
-  header.horizon = 2 * ds.config.max_update_interval;
-  header.buffer_pages = PaperConfig().BufferPagesFor(ds.config.num_objects);
-  header.io_ms = 10.0;
-  header.index = static_cast<uint8_t>(IndexKind::kTprTree);
-  header.poly_side = 10;
-  header.degree = std::stoi(FlagOr(flags, "degree", "5"));
-  header.eval_grid = 1000;
+  header.threads = fr.exec.threads;
+  header.histogram_side = fr.histogram_side;
+  header.horizon = fr.horizon;
+  header.buffer_pages = fr.buffer_pages;
+  header.io_ms = fr.io_ms;
+  header.index = static_cast<uint8_t>(fr.index);
+  header.poly_side = pa.poly_side;
+  header.degree = pa.degree;
+  header.eval_grid = pa.eval_grid;
   const std::string fft_grid = FlagOr(flags, "fft-grid", "");
   if (!fft_grid.empty()) {
     header.has_fft = 1;

@@ -6,7 +6,11 @@
 #   1. Capture determinism — a fresh seeded `pdr_tool record` run must
 #      replay with bit-identical per-tick digests at 1/2/4/8 threads
 #      (`replay --verify`). This is the feature's core claim: any
-#      captured run is a cross-thread-count differential test.
+#      captured run is a cross-thread-count differential test. A second
+#      capture of the same run with the degradation ladder active
+#      (`--deadline-ms 1e9`) must verify too, and its digest listing
+#      must byte-match the plain capture's: the ladder's exact rung and
+#      the monitor's direct path stamp every answer identically.
 #   2. Fixture determinism — the checked-in canned workload
 #      (tests/fixtures/ci_workload.wlog) must verify, and its
 #      `replay --digests` output must byte-match the committed golden
@@ -97,6 +101,27 @@ for threads in 1 2 4 8; do
       || fail "fresh capture diverged at --threads ${threads}"
   echo "  threads=${threads}: bit-identical"
 done
+# A ladder-active capture of the same run: a generous deadline attaches
+# the PA fallback and sends every tick through the executor's exact rung.
+# It must verify, and its digest listing must byte-match the plain
+# capture's — the ladder and the monitor's direct path stamp identically.
+"${tool}" record --in "${tmpdir}/fresh.pdrd" \
+    --log "${tmpdir}/fresh_ladder.wlog" --varrho 3 --l 30 --lookahead 4 \
+    --every 2 --deadline-ms 1e9 >/dev/null
+for threads in 1 4; do
+  "${tool}" replay --log "${tmpdir}/fresh_ladder.wlog" --verify \
+      --threads "${threads}" >/dev/null \
+      || fail "fresh ladder capture diverged at --threads ${threads}"
+  echo "  ladder threads=${threads}: bit-identical"
+done
+for name in fresh fresh_ladder; do
+  "${tool}" replay --log "${tmpdir}/${name}.wlog" --digests \
+      | grep '^digest' >"${tmpdir}/${name}.digests"
+done
+diff -u "${tmpdir}/fresh.digests" "${tmpdir}/fresh_ladder.digests" \
+    || fail "ladder and direct paths stamp the same ticks differently"
+echo "  ladder listing: byte-identical to the direct path's" \
+     "($(wc -l <"${tmpdir}/fresh.digests") ticks)"
 # The same determinism claim for a fresh MVCC capture: every recorded
 # snapshot answer must match the serialized reference re-derived at its
 # pinned epoch.

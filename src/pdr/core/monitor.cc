@@ -121,10 +121,7 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
     }
     delta.cost = result.cost;
     delta.current = std::move(result.region);
-    delta.explain.tier = AnswerTier::kApprox;
-    delta.explain.stages.push_back({"approx", pa_elapsed, true});
-    delta.explain.bnb_nodes = result.bnb.nodes_visited;
-    delta.explain.bnb_pruned = result.bnb.pruned_boxes;
+    StampApprox(result, pa_elapsed, &delta.explain);
   } else if (ladder != nullptr) {
     auto result = ladder->Query(delta.q_t, options_.rho, options_.l);
     delta.cost = result.cost;
@@ -142,17 +139,7 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
     if (predicted) calibrator_->Observe(*predicted, result);
     delta.cost = result.cost;
     delta.current = std::move(result.region);
-    delta.explain.query_id = result.query_id;
-    delta.explain.tier = AnswerTier::kExact;
-    delta.explain.stages.push_back({"filter", result.filter_ms, true});
-    delta.explain.stages.push_back({"refine", result.refine_ms, true});
-    delta.explain.accepted_cells = result.accepted_cells;
-    delta.explain.rejected_cells = result.rejected_cells;
-    delta.explain.candidate_cells = result.candidate_cells;
-    delta.explain.objects_fetched = result.objects_fetched;
-    delta.explain.dense_rects = result.sweep.dense_rects;
-    delta.explain.pages_read_physical = result.cost.io.physical_reads;
-    delta.explain.pages_read_logical = result.cost.io.logical_reads;
+    StampExact(result, &delta.explain);
   }
 
   // Shadow audit (PA-primary only). The sampling roll stays on this thread
@@ -270,8 +257,8 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
   std::vector<TieredResult> out(specs.size());
   // Evaluate in q_t groups so every spec sharing a target tick runs
   // back-to-back: with an FFT rung attached, the group's first query
-  // rasterizes + transforms and the rest hit the cached field, so each
-  // distinct q_t pays for exactly one transform.
+  // rasterizes and builds the summed-area table and the rest hit the
+  // cached field, so each distinct q_t pays for exactly one field.
   std::map<Tick, std::vector<size_t>> by_qt;
   for (size_t i = 0; i < specs.size(); ++i) {
     by_qt[now + specs[i].lookahead].push_back(i);
@@ -292,23 +279,12 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
       TieredResult& t = out[i];
       t.region = std::move(r.region);
       t.cost = r.cost;
-      t.tier = AnswerTier::kExact;
       t.elapsed_ms = query_timer.ElapsedMillis();
-      t.explain.query_id = r.query_id;
       t.explain.q_t = q_t;
       t.explain.rho = s.rho;
       t.explain.l = s.l;
-      t.explain.tier = AnswerTier::kExact;
       t.explain.elapsed_ms = t.elapsed_ms;
-      t.explain.stages.push_back({"filter", r.filter_ms, true});
-      t.explain.stages.push_back({"refine", r.refine_ms, true});
-      t.explain.accepted_cells = r.accepted_cells;
-      t.explain.rejected_cells = r.rejected_cells;
-      t.explain.candidate_cells = r.candidate_cells;
-      t.explain.objects_fetched = r.objects_fetched;
-      t.explain.dense_rects = r.sweep.dense_rects;
-      t.explain.pages_read_physical = r.cost.io.physical_reads;
-      t.explain.pages_read_logical = r.cost.io.logical_reads;
+      StampExact(r, &t.explain);
     }
   }
   static Counter& batches =
@@ -388,22 +364,12 @@ PdrMonitor::Delta PdrMonitor::MakeSnapshotDelta(
   delta.cost = result.cost;
   delta.current = result.region;
   delta.elapsed_ms = elapsed_ms;
-  delta.explain.query_id = result.query_id;
   delta.explain.q_t = q_t;
   delta.explain.rho = rho;
   delta.explain.l = l;
-  delta.explain.tier = AnswerTier::kExact;
   delta.explain.epoch = epoch;
   delta.explain.elapsed_ms = elapsed_ms;
-  delta.explain.stages.push_back({"filter", result.filter_ms, true});
-  delta.explain.stages.push_back({"refine", result.refine_ms, true});
-  delta.explain.accepted_cells = result.accepted_cells;
-  delta.explain.rejected_cells = result.rejected_cells;
-  delta.explain.candidate_cells = result.candidate_cells;
-  delta.explain.objects_fetched = result.objects_fetched;
-  delta.explain.dense_rects = result.sweep.dense_rects;
-  delta.explain.pages_read_physical = result.cost.io.physical_reads;
-  delta.explain.pages_read_logical = result.cost.io.logical_reads;
+  StampExact(result, &delta.explain);
   return delta;
 }
 

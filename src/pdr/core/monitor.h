@@ -130,10 +130,10 @@ class PdrMonitor {
   }
 
   /// FR-primary only: attaches the FFT whole-plane density engine as the
-  /// ladder's middle rung (exact -> fft -> approx -> histogram; not owned;
+  /// ladder's second rung (exact -> fft -> approx -> histogram; not owned;
   /// must be fed the same update stream as the FR engine). Also enables
   /// QueryBatch amortization: queries on the same q_t share one cached
-  /// transform.
+  /// summed-area table.
   void SetFftRung(FftDensityEngine* fft) {
     fft_ = fft;
     executor_.reset();  // rebuilt lazily with the new rung
@@ -186,8 +186,8 @@ class PdrMonitor {
   /// FR-primary only: answers every spec at `now` in one pass, grouped by
   /// q_t so specs sharing a target tick amortize: with an attached FFT
   /// rung (SetFftRung) the first query on each q_t builds the density
-  /// field — rasterize + one forward transform — and the rest reuse the
-  /// cached spectrum, paying only a kernel multiply + classification
+  /// field — rasterize + one summed-area table — and the rest reuse the
+  /// cached field, paying only block sums + classification
   /// (EXPERIMENTS.md has the measured amortization curve). Results come
   /// back in spec order, each stamped with its tier/EXPLAIN provenance
   /// exactly as a single ladder query would be. Does not touch the

@@ -132,17 +132,6 @@ FftDensityEngine::QueryResult FftDensityEngine::Query(Tick q_t, double rho,
   return out;
 }
 
-std::vector<FftDensityEngine::QueryResult> FftDensityEngine::QueryBatch(
-    Tick q_t, const std::vector<BatchQuery>& queries,
-    const QueryControl& ctl) {
-  std::vector<QueryResult> out;
-  out.reserve(queries.size());
-  for (const BatchQuery& q : queries) {
-    out.push_back(Query(q_t, q.rho, q.l, ctl));
-  }
-  return out;
-}
-
 std::vector<int64_t> FftDensityEngine::BlockSums(Tick q_t, int half_width,
                                                  const QueryControl& ctl) {
   ValidateHorizon("fft", q_t, now_, options_.horizon);

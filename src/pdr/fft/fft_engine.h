@@ -70,11 +70,6 @@ class FftDensityEngine {
     int grid = 0;              ///< m this answer was computed at
   };
 
-  struct BatchQuery {
-    double rho = 0.0;
-    double l = 0.0;
-  };
-
   explicit FftDensityEngine(const Options& options);
 
   const Options& options() const { return options_; }
@@ -90,16 +85,11 @@ class FftDensityEngine {
   size_t live_objects() const { return table_.size(); }
 
   /// One snapshot query. Throws HorizonError outside [now, now + H] and
-  /// CancelledError at a work boundary when `ctl` fired.
+  /// CancelledError at a work boundary when `ctl` fired. Queries on one
+  /// q_t share its cached field and each distinct half-width's block
+  /// sums, so a query after the first is a classification pass only.
   QueryResult Query(Tick q_t, double rho, double l,
                     const QueryControl& ctl = {});
-
-  /// Many (rho, l) pairs against one tick's field: the field is built (or
-  /// reused) once and every distinct half-width's block sums once; each
-  /// additional query is a classification pass only.
-  std::vector<QueryResult> QueryBatch(Tick q_t,
-                                      const std::vector<BatchQuery>& queries,
-                                      const QueryControl& ctl = {});
 
   /// Block sums over the (2h+1)^2 neighborhood for every cell at q_t
   /// (exposed for the metamorphic/differential tests). h is clamped to

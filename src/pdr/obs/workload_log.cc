@@ -233,6 +233,20 @@ uint64_t ExplainSignatureHash(const ExplainRecord& explain) {
   return Fnv1a64(sig.data(), sig.size());
 }
 
+WorkloadTickRecord TickRecordOf(const PdrMonitor::Delta& delta) {
+  WorkloadTickRecord rec;
+  rec.now = delta.now;
+  rec.q_t = delta.q_t;
+  rec.tier = static_cast<uint8_t>(delta.tier);
+  rec.downgrade_reason = static_cast<uint8_t>(delta.downgrade_reason);
+  rec.shed = delta.shed ? 1 : 0;
+  rec.elapsed_ms = delta.elapsed_ms;
+  rec.digest = TickDigest(delta);
+  rec.sig_hash = ExplainSignatureHash(delta.explain);
+  rec.epoch = delta.epoch;
+  return rec;
+}
+
 WorkloadRecorder::WorkloadRecorder(const std::string& path,
                                    const WorkloadLogHeader& header)
     : path_(path), header_(header) {
@@ -310,17 +324,7 @@ void WorkloadRecorder::OnCommit(Tick now,
 
 WorkloadTickRecord WorkloadRecorder::RecordTick(
     const PdrMonitor::Delta& delta) {
-  WorkloadTickRecord rec;
-  rec.now = delta.now;
-  rec.q_t = delta.q_t;
-  rec.tier = static_cast<uint8_t>(delta.tier);
-  rec.downgrade_reason = static_cast<uint8_t>(delta.downgrade_reason);
-  rec.shed = delta.shed ? 1 : 0;
-  rec.elapsed_ms = delta.elapsed_ms;
-  rec.digest = TickDigest(delta);
-  rec.sig_hash = ExplainSignatureHash(delta.explain);
-  rec.epoch = delta.epoch;
-
+  const WorkloadTickRecord rec = TickRecordOf(delta);
   std::string payload;
   PutPod(&payload, rec.now);
   PutPod(&payload, rec.q_t);

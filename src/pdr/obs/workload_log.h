@@ -75,11 +75,13 @@ struct WorkloadLogHeader {
 
   // Resilience policy. A deadline makes tier selection wall-clock
   // dependent, so verify-mode replays of deadline-bounded captures are
-  // best-effort; rung toggles (enable_exact/enable_approx) stay exact.
+  // best-effort; captures with the exact rung disabled stay exact.
   double deadline_ms = 0.0;
   int32_t max_inflight = 0;
   uint8_t degrade = 1;
   uint8_t enable_exact = 1;
+  /// 0: the PA fallback is not attached even when has_fallback is set.
+  /// Kept for the header's byte layout.
   uint8_t enable_approx = 1;
   uint8_t has_fallback = 0;  ///< a PA fallback engine was attached
   /// An FFT whole-plane engine was attached as the ladder's middle rung.
@@ -131,6 +133,12 @@ uint64_t TickDigest(const PdrMonitor::Delta& delta);
 
 /// FNV-64 over explain.DeterministicSignature().
 uint64_t ExplainSignatureHash(const ExplainRecord& explain);
+
+/// The tick record a delta maps to: its query parameters, tier, reason,
+/// shed flag, epoch and both digests. The recorder writes it and the
+/// replayer re-derives it, so capture and replay compare one function
+/// against itself.
+WorkloadTickRecord TickRecordOf(const PdrMonitor::Delta& delta);
 
 /// Appends records to a workload log file. Throws std::runtime_error when
 /// the file cannot be opened or written.

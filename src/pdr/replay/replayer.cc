@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <ctime>
+#include <map>
 #include <memory>
 #include <utility>
-
-#include <map>
 
 #include "pdr/common/stats.h"
 #include "pdr/core/fr_engine.h"
@@ -56,9 +55,44 @@ PdrMonitor::Options MonitorOptionsFromHeader(const WorkloadLogHeader& h) {
   opts.resilience.max_inflight = h.max_inflight;
   opts.resilience.degrade = h.degrade != 0;
   opts.resilience.enable_exact = h.enable_exact != 0;
-  opts.resilience.enable_approx = h.enable_approx != 0;
   return opts;
 }
+
+// The serving stack a header describes: FR primary, the PA fallback and
+// the FFT rung when the header attached them, and the monitor wired over
+// all three. Capture and replay both build through here.
+struct ServingStack {
+  ServingStack(const WorkloadLogHeader& h, const ExecPolicy& exec)
+      : fr(FrOptionsFromHeader(h, exec)),
+        monitor(&fr, MonitorOptionsFromHeader(h)) {
+    if (h.has_fallback != 0 && h.enable_approx != 0) {
+      pa = std::make_unique<PaEngine>(PaOptionsFromHeader(h, exec));
+      monitor.SetFallback(pa.get());
+    }
+    if (h.has_fft != 0) {
+      fft = std::make_unique<FftDensityEngine>(FftOptionsFromHeader(h));
+      monitor.SetFftRung(fft.get());
+    }
+    monitor.SetExecPolicy(exec);
+  }
+
+  // Advances every engine to `now` and applies the batch to each.
+  void Ingest(Tick now, const std::vector<UpdateEvent>& updates) {
+    fr.AdvanceTo(now);
+    if (pa != nullptr) pa->AdvanceTo(now);
+    if (fft != nullptr) fft->AdvanceTo(now);
+    for (const UpdateEvent& e : updates) {
+      fr.Apply(e);
+      if (pa != nullptr) pa->Apply(e);
+      if (fft != nullptr) fft->Apply(e);
+    }
+  }
+
+  FrEngine fr;
+  std::unique_ptr<PaEngine> pa;
+  std::unique_ptr<FftDensityEngine> fft;
+  PdrMonitor monitor;
+};
 
 // Process CPU time in milliseconds (std::clock is CPU time on POSIX).
 // Aggregates all pool threads, so a parallel replay's per-tick CPU cost
@@ -76,6 +110,58 @@ double Percentile(const std::vector<double>& sorted, double pct) {
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
+// Wall and CPU time over one replay: per evaluated tick, and in total.
+struct ReplayTimings {
+  Timer total;
+  double cpu_start = CpuNowMs();
+  std::vector<double> wall;
+  std::vector<double> cpu;
+
+  template <typename Fn>
+  auto Time(Fn&& evaluate) {
+    Timer tick_timer;
+    const double tick_cpu = CpuNowMs();
+    auto out = evaluate();
+    cpu.push_back(CpuNowMs() - tick_cpu);
+    wall.push_back(tick_timer.ElapsedMillis());
+    return out;
+  }
+
+  // Totals plus nearest-rank p50/p95/p99 of both clocks.
+  void Finish(ReplayResult* result) {
+    result->total_ms = total.ElapsedMillis();
+    result->total_cpu_ms = CpuNowMs() - cpu_start;
+    std::sort(wall.begin(), wall.end());
+    std::sort(cpu.begin(), cpu.end());
+    result->p50_ms = Percentile(wall, 50.0);
+    result->p95_ms = Percentile(wall, 95.0);
+    result->p99_ms = Percentile(wall, 99.0);
+    result->p50_cpu_ms = Percentile(cpu, 50.0);
+    result->p95_cpu_ms = Percentile(cpu, 95.0);
+    result->p99_cpu_ms = Percentile(cpu, 99.0);
+  }
+};
+
+// Tallies one re-derived tick and, in verify mode, compares it with the
+// recorded one.
+void Report(const WorkloadTickRecord& want, const WorkloadTickRecord& got,
+            const ReplayOptions& options, ReplayResult* result) {
+  result->tier_counts[std::min<uint8_t>(got.tier, 4)] += 1;
+  result->replayed.push_back(got);
+  ++result->ticks;
+  if (options.mode == ReplayOptions::Mode::kVerify &&
+      (got.digest != want.digest || got.sig_hash != want.sig_hash ||
+       got.tier != want.tier)) {
+    ++result->mismatch_count;
+    if (static_cast<int>(result->mismatches.size()) <
+        options.max_reported_mismatches) {
+      result->mismatches.push_back({want.now, want.digest, got.digest,
+                                    want.sig_hash, got.sig_hash, want.tier,
+                                    got.tier});
+    }
+  }
+}
+
 // Concurrent-capture verify/bench: re-drive the update stream serialized
 // in commit-epoch (= file) order; after each epoch's batch, one serialized
 // evaluation of the standing query is the reference answer for every
@@ -84,8 +170,7 @@ ReplayResult RunConcurrent(const WorkloadLog& log,
                            const ReplayOptions& options) {
   const WorkloadLogHeader& h = log.header;
   const int threads = options.threads < 0 ? h.threads : options.threads;
-  const ExecPolicy exec = ExecForThreads(threads);
-  FrEngine fr(FrOptionsFromHeader(h, exec));
+  FrEngine fr(FrOptionsFromHeader(h, ExecForThreads(threads)));
 
   // Recorded snapshot answers, grouped by pinned epoch. Readers record in
   // scheduling order, so tick records interleave arbitrarily with updates
@@ -99,29 +184,7 @@ ReplayResult RunConcurrent(const WorkloadLog& log,
 
   ReplayResult result;
   result.threads = threads;
-  std::vector<double> samples;
-  std::vector<double> cpu_samples;
-  Timer total;
-  const double cpu_start = CpuNowMs();
-
-  auto report = [&](const WorkloadTickRecord& want,
-                    const WorkloadTickRecord& got) {
-    result.tier_counts[std::min<uint8_t>(got.tier, 4)] += 1;
-    result.replayed.push_back(got);
-    ++result.ticks;
-    if (options.mode == ReplayOptions::Mode::kVerify &&
-        (got.digest != want.digest || got.sig_hash != want.sig_hash ||
-         got.tier != want.tier)) {
-      ++result.mismatch_count;
-      if (static_cast<int>(result.mismatches.size()) <
-          options.max_reported_mismatches) {
-        result.mismatches.push_back({want.now, want.digest, got.digest,
-                                     want.sig_hash, got.sig_hash, want.tier,
-                                     got.tier});
-      }
-    }
-  };
-
+  ReplayTimings timings;
   for (const WorkloadLogRecord& rec : log.records) {
     if (rec.kind != WorkloadLogRecord::Kind::kUpdates) continue;
     fr.AdvanceTo(rec.tick);
@@ -132,24 +195,13 @@ ReplayResult RunConcurrent(const WorkloadLog& log,
     if (group == by_epoch.end()) continue;  // epoch nobody queried
 
     const Tick q_t = rec.tick + h.lookahead;
-    Timer tick_timer;
-    const double tick_cpu = CpuNowMs();
-    const FrEngine::QueryResult qr = fr.Query(q_t, h.rho, h.l);
-    cpu_samples.push_back(CpuNowMs() - tick_cpu);
-    samples.push_back(tick_timer.ElapsedMillis());
-
-    const PdrMonitor::Delta delta = PdrMonitor::MakeSnapshotDelta(
-        rec.tick, q_t, h.rho, h.l, rec.epoch, qr, 0.0);
-    WorkloadTickRecord got;
-    got.now = delta.now;
-    got.q_t = delta.q_t;
-    got.tier = static_cast<uint8_t>(delta.tier);
-    got.downgrade_reason = static_cast<uint8_t>(delta.downgrade_reason);
-    got.shed = 0;
-    got.digest = TickDigest(delta);
-    got.sig_hash = ExplainSignatureHash(delta.explain);
-    got.epoch = rec.epoch;
-    for (const WorkloadTickRecord* want : group->second) report(*want, got);
+    const FrEngine::QueryResult qr =
+        timings.Time([&] { return fr.Query(q_t, h.rho, h.l); });
+    const WorkloadTickRecord got = TickRecordOf(PdrMonitor::MakeSnapshotDelta(
+        rec.tick, q_t, h.rho, h.l, rec.epoch, qr, 0.0));
+    for (const WorkloadTickRecord* want : group->second) {
+      Report(*want, got, options, &result);
+    }
     by_epoch.erase(group);
   }
 
@@ -162,20 +214,10 @@ ReplayResult RunConcurrent(const WorkloadLog& log,
       got.now = want->now;
       got.q_t = want->q_t;
       got.epoch = epoch;
-      report(*want, got);
+      Report(*want, got, options, &result);
     }
   }
-
-  result.total_ms = total.ElapsedMillis();
-  result.total_cpu_ms = CpuNowMs() - cpu_start;
-  std::sort(samples.begin(), samples.end());
-  result.p50_ms = Percentile(samples, 50.0);
-  result.p95_ms = Percentile(samples, 95.0);
-  result.p99_ms = Percentile(samples, 99.0);
-  std::sort(cpu_samples.begin(), cpu_samples.end());
-  result.p50_cpu_ms = Percentile(cpu_samples, 50.0);
-  result.p95_cpu_ms = Percentile(cpu_samples, 95.0);
-  result.p99_cpu_ms = Percentile(cpu_samples, 99.0);
+  timings.Finish(&result);
   return result;
 }
 
@@ -202,85 +244,22 @@ ReplayResult Replayer::Run(const ReplayOptions& options) const {
   if (concurrent()) return RunConcurrent(log_, options);
   const WorkloadLogHeader& h = log_.header;
   const int threads = options.threads < 0 ? h.threads : options.threads;
-  const ExecPolicy exec = ExecForThreads(threads);
-
-  FrEngine fr(FrOptionsFromHeader(h, exec));
-  std::unique_ptr<PaEngine> pa;
-  if (h.has_fallback != 0) {
-    pa = std::make_unique<PaEngine>(PaOptionsFromHeader(h, exec));
-  }
-  std::unique_ptr<FftDensityEngine> fft;
-  if (h.has_fft != 0) {
-    fft = std::make_unique<FftDensityEngine>(FftOptionsFromHeader(h));
-  }
-  PdrMonitor monitor(&fr, MonitorOptionsFromHeader(h));
-  if (pa != nullptr) monitor.SetFallback(pa.get());
-  if (fft != nullptr) monitor.SetFftRung(fft.get());
-  monitor.SetExecPolicy(exec);
+  ServingStack stack(h, ExecForThreads(threads));
 
   ReplayResult result;
   result.threads = threads;
-  std::vector<double> samples;
-  std::vector<double> cpu_samples;
-  Timer total;
-  const double cpu_start = CpuNowMs();
-
+  ReplayTimings timings;
   for (const WorkloadLogRecord& rec : log_.records) {
-    fr.AdvanceTo(rec.tick);
-    if (pa != nullptr) pa->AdvanceTo(rec.tick);
-    if (fft != nullptr) fft->AdvanceTo(rec.tick);
+    stack.Ingest(rec.tick, rec.updates);  // tick records carry no updates
     if (rec.kind == WorkloadLogRecord::Kind::kUpdates) {
-      for (const UpdateEvent& e : rec.updates) {
-        fr.Apply(e);
-        if (pa != nullptr) pa->Apply(e);
-        if (fft != nullptr) fft->Apply(e);
-      }
       result.updates += static_cast<int64_t>(rec.updates.size());
       continue;
     }
-
-    Timer tick_timer;
-    const double tick_cpu = CpuNowMs();
-    const PdrMonitor::Delta delta = monitor.OnTick(rec.query.now);
-    cpu_samples.push_back(CpuNowMs() - tick_cpu);
-    samples.push_back(tick_timer.ElapsedMillis());
-    ++result.ticks;
-
-    WorkloadTickRecord got;
-    got.now = delta.now;
-    got.q_t = delta.q_t;
-    got.tier = static_cast<uint8_t>(delta.tier);
-    got.downgrade_reason = static_cast<uint8_t>(delta.downgrade_reason);
-    got.shed = delta.shed ? 1 : 0;
-    got.elapsed_ms = delta.elapsed_ms;
-    got.digest = TickDigest(delta);
-    got.sig_hash = ExplainSignatureHash(delta.explain);
-    result.tier_counts[std::min<uint8_t>(got.tier, 4)] += 1;
-    result.replayed.push_back(got);
-
-    if (options.mode == ReplayOptions::Mode::kVerify &&
-        (got.digest != rec.query.digest || got.sig_hash != rec.query.sig_hash ||
-         got.tier != rec.query.tier)) {
-      ++result.mismatch_count;
-      if (static_cast<int>(result.mismatches.size()) <
-          options.max_reported_mismatches) {
-        result.mismatches.push_back({rec.query.now, rec.query.digest,
-                                     got.digest, rec.query.sig_hash,
-                                     got.sig_hash, rec.query.tier, got.tier});
-      }
-    }
+    const PdrMonitor::Delta delta =
+        timings.Time([&] { return stack.monitor.OnTick(rec.query.now); });
+    Report(rec.query, TickRecordOf(delta), options, &result);
   }
-
-  result.total_ms = total.ElapsedMillis();
-  result.total_cpu_ms = CpuNowMs() - cpu_start;
-  std::sort(samples.begin(), samples.end());
-  result.p50_ms = Percentile(samples, 50.0);
-  result.p95_ms = Percentile(samples, 95.0);
-  result.p99_ms = Percentile(samples, 99.0);
-  std::sort(cpu_samples.begin(), cpu_samples.end());
-  result.p50_cpu_ms = Percentile(cpu_samples, 50.0);
-  result.p95_cpu_ms = Percentile(cpu_samples, 95.0);
-  result.p99_cpu_ms = Percentile(cpu_samples, 99.0);
+  timings.Finish(&result);
   return result;
 }
 
@@ -294,37 +273,16 @@ WorkloadRecorder::Stats RecordDataset(const Dataset& dataset,
   header.seed = dataset.config.seed;
   header.duration = dataset.duration();
 
-  const ExecPolicy exec = ExecForThreads(header.threads);
-  FrEngine fr(FrOptionsFromHeader(header, exec));
-  std::unique_ptr<PaEngine> pa;
-  if (header.has_fallback != 0) {
-    pa = std::make_unique<PaEngine>(PaOptionsFromHeader(header, exec));
-  }
-  std::unique_ptr<FftDensityEngine> fft;
-  if (header.has_fft != 0) {
-    fft = std::make_unique<FftDensityEngine>(FftOptionsFromHeader(header));
-  }
-  PdrMonitor monitor(&fr, MonitorOptionsFromHeader(header));
-  if (pa != nullptr) monitor.SetFallback(pa.get());
-  if (fft != nullptr) monitor.SetFftRung(fft.get());
-  monitor.SetExecPolicy(exec);
-
+  ServingStack stack(header, ExecForThreads(header.threads));
   WorkloadRecorder recorder(log_path, header);
-  monitor.SetRecorder(&recorder);
+  stack.monitor.SetRecorder(&recorder);
   if (!bundle_dir.empty()) recorder.ArmBundles(bundle_dir);
 
   const Tick every = std::max<Tick>(1, header.every);
   for (Tick now = 0; now <= dataset.duration(); ++now) {
-    fr.AdvanceTo(now);
-    if (pa != nullptr) pa->AdvanceTo(now);
-    if (fft != nullptr) fft->AdvanceTo(now);
-    for (const UpdateEvent& e : dataset.ticks[now]) {
-      fr.Apply(e);
-      if (pa != nullptr) pa->Apply(e);
-      if (fft != nullptr) fft->Apply(e);
-    }
+    stack.Ingest(now, dataset.ticks[now]);
     recorder.OnUpdates(now, dataset.ticks[now]);
-    if (now % every == 0) monitor.OnTick(now);
+    if (now % every == 0) stack.monitor.OnTick(now);
   }
   recorder.Flush();
   return recorder.stats();

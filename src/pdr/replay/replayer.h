@@ -13,8 +13,8 @@
 //            captured run becomes a differential test. Caveat: captures
 //            taken under a wall-clock deadline (header.deadline_ms > 0)
 //            verify best-effort only, since which rung answered depended
-//            on machine speed; rung toggles (enable_exact/enable_approx)
-//            and unbounded captures verify exactly.
+//            on machine speed; unbounded captures (the exact rung on or
+//            off) verify exactly.
 //   kBench   re-drive as fast as possible and report per-tick latency
 //            percentiles (p50/p95/p99, nearest-rank) and the achieved
 //            answer-tier mix — the replay-based perf-regression probe CI
@@ -130,8 +130,9 @@ class Replayer {
 
 /// Capture helper shared by `pdr_tool record`, the CI fixture generator,
 /// and tests: drives `dataset` through freshly built engines (FR primary,
-/// plus a PA fallback when header.has_fallback and an FFT whole-plane
-/// rung when header.has_fft) with a WorkloadRecorder attached to the
+/// plus a PA fallback when header.has_fallback and header.enable_approx,
+/// and an FFT whole-plane rung when header.has_fft) — the same stack Run
+/// rebuilds from the header — with a WorkloadRecorder attached to the
 /// monitor. Dataset-shape header fields (extent,
 /// num_objects, max_update_interval, seed, duration) are overwritten from
 /// `dataset`; all other knobs (query, resilience, engine geometry,

@@ -1,13 +1,10 @@
 #include "pdr/resilience/executor.h"
 
-#include <cstring>
 #include <utility>
 
-#include "pdr/core/fr_engine.h"
-#include "pdr/core/pa_engine.h"
+#include "pdr/common/errors.h"
 #include "pdr/fft/fft_engine.h"
 #include "pdr/histogram/filter.h"
-#include "pdr/common/errors.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/storage/fault_injector.h"
@@ -131,6 +128,53 @@ const char* DowngradeReasonName(DowngradeReason reason) {
   return "?";
 }
 
+void StampExact(const FrEngine::QueryResult& result, ExplainRecord* explain) {
+  explain->query_id = result.query_id;
+  explain->tier = AnswerTier::kExact;
+  explain->stages.push_back({"filter", result.filter_ms, true});
+  explain->stages.push_back({"refine", result.refine_ms, true});
+  explain->accepted_cells = result.accepted_cells;
+  explain->rejected_cells = result.rejected_cells;
+  explain->candidate_cells = result.candidate_cells;
+  explain->objects_fetched = result.objects_fetched;
+  explain->dense_rects = result.sweep.dense_rects;
+  explain->pages_read_physical = result.cost.io.physical_reads;
+  explain->pages_read_logical = result.cost.io.logical_reads;
+}
+
+void StampApprox(const PaEngine::QueryResult& result, double spent_ms,
+                 ExplainRecord* explain) {
+  explain->tier = AnswerTier::kApprox;
+  explain->stages.push_back({"approx", spent_ms, true});
+  explain->bnb_nodes = result.bnb.nodes_visited;
+  explain->bnb_pruned = result.bnb.pruned_boxes;
+}
+
+ResilientExecutor::ResilientExecutor(FrEngine* fr, PaEngine* fallback,
+                                     const ResilienceOptions& options,
+                                     FftDensityEngine* fft)
+    : fr_(fr), fallback_(fallback), fft_(fft), options_(options) {}
+
+bool ResilientExecutor::Serves(AnswerTier tier, Tick q_t, double l) const {
+  switch (tier) {
+    case AnswerTier::kExact:
+      return options_.enable_exact;
+    case AnswerTier::kFft:
+      // Any l is fine (block sums are per half-width), but q_t must lie
+      // inside the engine's own horizon.
+      return fft_ != nullptr && q_t >= fft_->now() &&
+             q_t <= fft_->now() + fft_->options().horizon;
+    case AnswerTier::kApprox:
+      // Sound only for the PA engine's own fixed l (Section 6) and only
+      // inside its horizon.
+      return fallback_ != nullptr && fallback_->options().l == l &&
+             q_t >= fallback_->now() &&
+             q_t <= fallback_->now() + fallback_->options().horizon;
+    default:
+      return true;  // the histogram floor
+  }
+}
+
 TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
                                       const CancelToken* token) {
   TraceSpan span("resilience.query");
@@ -155,192 +199,130 @@ TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
   // One control for the whole ladder: every rung shares the query's
   // budget, so an exact attempt that burns it cannot be recovered by an
   // equally slow approximate attempt — only the bounded histogram floor
-  // runs unconditionally.
+  // runs without it.
   QueryControl ctl;
   ctl.token = token;
   if (options_.deadline_ms > 0.0) {
     ctl.deadline = Deadline::After(options_.deadline_ms);
   }
 
-  const auto finish = [&](TieredResult* result) -> TieredResult {
-    result->elapsed_ms = timer.ElapsedMillis();
-    ExplainRecord& ex = result->explain;
-    ex.tier = result->tier;
-    ex.downgrade_reason = result->downgrade_reason;
-    ex.timed_out = result->timed_out;
-    ex.elapsed_ms = result->elapsed_ms;
-    Publish(*result);
-    if (result->timed_out) {
-      FlightRecorder::Global().TriggerDump(FlightRecorder::kOnDeadlineMiss,
-                                           "deadline_miss", qid);
+  for (const AnswerTier tier : kLadder) {
+    if (!Serves(tier, q_t, l)) {
+      if (tier == AnswerTier::kExact) {
+        out.downgrade_reason = DowngradeReason::kDisabled;
+      }
+      continue;
     }
-    if (span.active()) {
-      span.SetAttr("tier", static_cast<int64_t>(result->tier));
-      span.SetAttr("reason",
-                   static_cast<int64_t>(result->downgrade_reason));
-      span.SetAttr("timed_out", static_cast<int64_t>(result->timed_out));
-      span.SetAttr("elapsed_ms", result->elapsed_ms);
-      span.SetAttr("budget_ms", result->budget_ms);
-    }
-    return std::move(*result);
-  };
-
-  if (options_.enable_exact) {
-    FlightRecorder::Record(FrEvent::kTierEnter,
-                           static_cast<int64_t>(AnswerTier::kExact),
+    FlightRecorder::Record(FrEvent::kTierEnter, static_cast<int64_t>(tier),
                            static_cast<int64_t>(out.downgrade_reason));
-    const double exact_start_ms = timer.ElapsedMillis();
-    try {
-      FrEngine::QueryResult exact =
-          fr_->Query(q_t, rho, l, /*cold_cache=*/false, ctl);
-      out.region = std::move(exact.region);
-      out.cost = exact.cost;
-      out.tier = AnswerTier::kExact;
-      explain.stages.push_back({"filter", exact.filter_ms, true});
-      explain.stages.push_back({"refine", exact.refine_ms, true});
-      explain.accepted_cells = exact.accepted_cells;
-      explain.rejected_cells = exact.rejected_cells;
-      explain.candidate_cells = exact.candidate_cells;
-      explain.objects_fetched = exact.objects_fetched;
-      explain.dense_rects = exact.sweep.dense_rects;
-      explain.pages_read_physical = exact.cost.io.physical_reads;
-      explain.pages_read_logical = exact.cost.io.logical_reads;
-      return finish(&out);
-    } catch (const CancelledError&) {
-      out.timed_out = true;
-      out.downgrade_reason = DowngradeReason::kDeadline;
+    const double start_ms = timer.ElapsedMillis();
+    // A rung that gives up records its uncompleted stage and, when it is
+    // the query's first failure, names the downgrade (a policy kDisabled
+    // yields to it).
+    const auto give_up = [&](DowngradeReason reason) {
       explain.stages.push_back(
-          {"exact", timer.ElapsedMillis() - exact_start_ms, false});
+          {AnswerTierName(tier), timer.ElapsedMillis() - start_ms, false});
+      if (out.downgrade_reason == DowngradeReason::kNone ||
+          out.downgrade_reason == DowngradeReason::kDisabled) {
+        out.downgrade_reason = reason;
+      }
+    };
+    try {
+      switch (tier) {
+        case AnswerTier::kExact: {
+          FrEngine::QueryResult exact =
+              fr_->Query(q_t, rho, l, /*cold_cache=*/false, ctl);
+          out.region = std::move(exact.region);
+          out.cost = exact.cost;
+          StampExact(exact, &explain);
+          break;
+        }
+        case AnswerTier::kFft: {
+          // One summed-area table per q_t yields a certain/maybe cell
+          // sandwich around the exact answer at the raster's resolution,
+          // amortized across every query on the same q_t.
+          FftDensityEngine::QueryResult fft = fft_->Query(q_t, rho, l, ctl);
+          out.region = std::move(fft.region);
+          out.maybe_region = std::move(fft.maybe_region);
+          out.cost.cpu_ms = fft.field_ms + fft.classify_ms;
+          explain.stages.push_back(
+              {"fft", timer.ElapsedMillis() - start_ms, true});
+          explain.accepted_cells = fft.accepted_cells;
+          explain.rejected_cells = fft.rejected_cells;
+          explain.candidate_cells = fft.candidate_cells;
+          break;
+        }
+        case AnswerTier::kApprox: {
+          PaEngine::QueryResult approx = fallback_->Query(q_t, rho, ctl);
+          out.region = std::move(approx.region);
+          out.cost = approx.cost;
+          StampApprox(approx, timer.ElapsedMillis() - start_ms, &explain);
+          break;
+        }
+        default: {
+          // Histogram floor: the filter step alone, never cancelled — one
+          // bounded O(m^2) scan is the ladder's final work quantum.
+          // Pessimistic accepts are the certainly-dense answer; the
+          // optimistic superset bounds where density can hide.
+          FrEngine::DhResult dh =
+              fr_->DhOnlyQuery(q_t, rho, l, /*optimistic=*/false);
+          out.region = std::move(dh.region);
+          out.maybe_region =
+              CellsAsRegion(dh.filter, fr_->histogram().grid(), true);
+          out.cost.cpu_ms = dh.cpu_ms;
+          explain.stages.push_back(
+              {"histogram", timer.ElapsedMillis() - start_ms, true});
+          explain.accepted_cells = dh.filter.accepted;
+          explain.rejected_cells = dh.filter.rejected;
+          explain.candidate_cells = dh.filter.candidates;
+          break;
+        }
+      }
+      out.tier = tier;
+      break;
+    } catch (const CancelledError&) {
+      give_up(DowngradeReason::kDeadline);
+      out.timed_out = true;
       FlightRecorder::Record(
-          FrEvent::kCancelled, static_cast<int64_t>(AnswerTier::kExact),
+          FrEvent::kCancelled, static_cast<int64_t>(tier),
           static_cast<int64_t>(timer.ElapsedMillis() * 1000.0));
       if (!options_.degrade) throw;
     } catch (const TransientExhaustedError&) {
-      // Storage kept failing past the retry budget. The histogram floor
-      // (and the PA rung) are in-memory, so the ladder can still answer —
-      // degrade and label the cause so operators see "storage", not
-      // "overload".
-      out.downgrade_reason = DowngradeReason::kTransient;
-      explain.stages.push_back(
-          {"exact", timer.ElapsedMillis() - exact_start_ms, false});
+      // Storage kept failing past the retry budget. The lower rungs are
+      // in-memory, so the ladder can still answer — degrade and label the
+      // cause so operators see "storage", not "overload".
+      give_up(DowngradeReason::kTransient);
       if (!options_.degrade) throw;
     } catch (const CorruptionError&) {
-      // A page with no healthy copy surfaced mid-query. Answering exactly
-      // from damaged bytes would be a silent wrong answer — the one
-      // outcome this system must never produce — so fall to the
-      // in-memory rungs, which never touch the damaged store, and label
-      // the downgrade so operators see "corruption", not "overload".
-      // (Detection already fired the kOnCorruption flight dump.)
-      out.downgrade_reason = DowngradeReason::kCorruption;
-      explain.stages.push_back(
-          {"exact", timer.ElapsedMillis() - exact_start_ms, false});
-      if (!options_.degrade) throw;
-    }
-  } else if (out.downgrade_reason == DowngradeReason::kNone) {
-    out.downgrade_reason = DowngradeReason::kDisabled;
-  }
-
-  // The FFT rung: one whole-plane transform yields a certain/maybe cell
-  // sandwich around the exact answer at the raster's resolution — far
-  // tighter than the histogram floor and amortized across every query on
-  // the same q_t. Any l is fine (kernel spectra are per-l), but q_t must
-  // lie inside the engine's own horizon.
-  if (options_.enable_fft && fft_ != nullptr && q_t >= fft_->now() &&
-      q_t <= fft_->now() + fft_->options().horizon) {
-    FlightRecorder::Record(FrEvent::kTierEnter,
-                           static_cast<int64_t>(AnswerTier::kFft),
-                           static_cast<int64_t>(out.downgrade_reason));
-    const double fft_start_ms = timer.ElapsedMillis();
-    try {
-      FftDensityEngine::QueryResult fft =
-          fft_->Query(q_t, rho, l, ctl);
-      out.region = std::move(fft.region);
-      out.maybe_region = std::move(fft.maybe_region);
-      out.cost = CostBreakdown{};
-      out.cost.cpu_ms = fft.field_ms + fft.classify_ms;
-      out.tier = AnswerTier::kFft;
-      explain.stages.push_back(
-          {"fft", timer.ElapsedMillis() - fft_start_ms, true});
-      explain.accepted_cells = fft.accepted_cells;
-      explain.rejected_cells = fft.rejected_cells;
-      explain.candidate_cells = fft.candidate_cells;
-      return finish(&out);
-    } catch (const CancelledError&) {
-      out.timed_out = true;
-      if (out.downgrade_reason == DowngradeReason::kNone ||
-          out.downgrade_reason == DowngradeReason::kDisabled) {
-        out.downgrade_reason = DowngradeReason::kDeadline;
-      }
-      explain.stages.push_back(
-          {"fft", timer.ElapsedMillis() - fft_start_ms, false});
-      FlightRecorder::Record(
-          FrEvent::kCancelled, static_cast<int64_t>(AnswerTier::kFft),
-          static_cast<int64_t>(timer.ElapsedMillis() * 1000.0));
+      // A page with no healthy copy surfaced mid-query. Answering from
+      // damaged bytes would be a silent wrong answer — the one outcome
+      // this system must never produce — so fall to the in-memory rungs,
+      // which never touch the damaged store, and label the downgrade so
+      // operators see "corruption", not "overload". (Detection already
+      // fired the kOnCorruption flight dump.)
+      give_up(DowngradeReason::kCorruption);
       if (!options_.degrade) throw;
     }
   }
 
-  // The approximate rung is sound only for the PA engine's own fixed l
-  // (Section 6) and only inside its horizon; otherwise fall straight
-  // through to the histogram floor.
-  if (options_.enable_approx && fallback_ != nullptr &&
-      fallback_->options().l == l && q_t >= fallback_->now() &&
-      q_t <= fallback_->now() + fallback_->options().horizon) {
-    FlightRecorder::Record(FrEvent::kTierEnter,
-                           static_cast<int64_t>(AnswerTier::kApprox),
-                           static_cast<int64_t>(out.downgrade_reason));
-    const double approx_start_ms = timer.ElapsedMillis();
-    try {
-      PaEngine::QueryResult approx = fallback_->Query(q_t, rho, ctl);
-      out.region = std::move(approx.region);
-      out.cost = approx.cost;
-      out.tier = AnswerTier::kApprox;
-      explain.stages.push_back(
-          {"approx", timer.ElapsedMillis() - approx_start_ms, true});
-      explain.bnb_nodes = approx.bnb.nodes_visited;
-      explain.bnb_pruned = approx.bnb.pruned_boxes;
-      return finish(&out);
-    } catch (const CancelledError&) {
-      out.timed_out = true;
-      if (out.downgrade_reason == DowngradeReason::kNone ||
-          out.downgrade_reason == DowngradeReason::kDisabled) {
-        out.downgrade_reason = DowngradeReason::kDeadline;
-      }
-      explain.stages.push_back(
-          {"approx", timer.ElapsedMillis() - approx_start_ms, false});
-      FlightRecorder::Record(
-          FrEvent::kCancelled, static_cast<int64_t>(AnswerTier::kApprox),
-          static_cast<int64_t>(timer.ElapsedMillis() * 1000.0));
-      if (!options_.degrade) throw;
-    }
+  out.elapsed_ms = timer.ElapsedMillis();
+  explain.tier = out.tier;
+  explain.downgrade_reason = out.downgrade_reason;
+  explain.timed_out = out.timed_out;
+  explain.elapsed_ms = out.elapsed_ms;
+  Publish(out);
+  if (out.timed_out) {
+    FlightRecorder::Global().TriggerDump(FlightRecorder::kOnDeadlineMiss,
+                                         "deadline_miss", qid);
   }
-
-  // Histogram floor: the filter step alone, never cancelled — one bounded
-  // O(m^2) scan is the ladder's final work quantum. Pessimistic accepts
-  // are the certainly-dense answer; the optimistic superset bounds where
-  // density can hide.
-  FlightRecorder::Record(FrEvent::kTierEnter,
-                         static_cast<int64_t>(AnswerTier::kHistogram),
-                         static_cast<int64_t>(out.downgrade_reason));
-  const double floor_start_ms = timer.ElapsedMillis();
-  FrEngine::DhResult dh = fr_->DhOnlyQuery(q_t, rho, l, /*optimistic=*/false);
-  out.region = std::move(dh.region);
-  out.maybe_region =
-      CellsAsRegion(dh.filter, fr_->histogram().grid(), true);
-  out.cost = CostBreakdown{};
-  out.cost.cpu_ms = dh.cpu_ms;
-  out.tier = AnswerTier::kHistogram;
-  explain.stages.push_back(
-      {"histogram", timer.ElapsedMillis() - floor_start_ms, true});
-  explain.accepted_cells = dh.filter.accepted;
-  explain.rejected_cells = dh.filter.rejected;
-  explain.candidate_cells = dh.filter.candidates;
-  return finish(&out);
+  if (span.active()) {
+    span.SetAttr("tier", static_cast<int64_t>(out.tier));
+    span.SetAttr("reason", static_cast<int64_t>(out.downgrade_reason));
+    span.SetAttr("timed_out", static_cast<int64_t>(out.timed_out));
+    span.SetAttr("elapsed_ms", out.elapsed_ms);
+    span.SetAttr("budget_ms", out.budget_ms);
+  }
+  return out;
 }
-
-ResilientExecutor::ResilientExecutor(FrEngine* fr, PaEngine* fallback,
-                                     const ResilienceOptions& options,
-                                     FftDensityEngine* fft)
-    : fr_(fr), fallback_(fallback), fft_(fft), options_(options) {}
 
 }  // namespace pdr

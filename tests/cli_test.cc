@@ -332,9 +332,49 @@ TEST_F(CliTest, ConcurrentMonitorSurvivesTreeCondense) {
                                 " --interval 4 --seed 11");
   ASSERT_EQ(gen.exit_code, 0) << gen.output;
   const RunResult r = RunTool("monitor --in " + data +
-                              " --varrho 3 --l 30 --every 1 --lookahead 5"
+                              " --varrho 3 --l 30 --lookahead 5"
                               " --concurrent 1");
   std::system(("rm -rf '" + std::string(dir) + "'").c_str());
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("cross-reader per-epoch digests consistent"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST_F(CliTest, ConcurrentMonitorReaderErrorExitsOneWithTheMessage) {
+  // The default --lookahead 10 lies past the dataset's horizon H = 2U = 8:
+  // every snapshot query throws on its reader thread, whichever epoch it
+  // pins. The error must reach main (exit 1, "error: ..."), not
+  // std::terminate (exit 134).
+  const RunResult r = RunTool("monitor --in " + dataset() +
+                              " --varrho 3 --l 30 --concurrent 1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: fr query at t="), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("outside horizon"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("(H=8)"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("terminate"), std::string::npos) << r.output;
+}
+
+TEST_F(CliTest, ConcurrentMonitorRefusesFlagsItDoesNotImplement) {
+  // Refused before any work starts, so no directory or file is created.
+  for (const std::string flag :
+       {"--deadline-ms", "--audit-rate", "--every", "--wal-dir", "--report",
+        "--slo-ms", "--flight-dir"}) {
+    const RunResult r = RunTool("monitor --in " + dataset() +
+                                " --varrho 2 --l 25 --lookahead 2"
+                                " --concurrent 1 " + flag + " 1");
+    EXPECT_EQ(r.exit_code, 2) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("error: " + flag + " is not supported"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST_F(CliTest, ConcurrentMonitorHonorsThreads) {
+  const RunResult r = RunTool("monitor --in " + dataset() +
+                              " --varrho 2 --l 25 --lookahead 2"
+                              " --concurrent 2 --threads 4");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("cross-reader per-epoch digests consistent"),
             std::string::npos)

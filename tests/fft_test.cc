@@ -305,12 +305,10 @@ TEST(FftTest, FieldCacheAmortizesQueriesOnOneTick) {
       MetricsRegistry::Global().GetCounter("pdr.fft.fields_built");
   const int64_t built_before = built.value();
 
-  std::vector<FftDensityEngine::BatchQuery> batch;
+  std::vector<FftDensityEngine::QueryResult> results;
   for (int i = 1; i <= 8; ++i) {
-    batch.push_back({i * 10.0 / (kExtent * kExtent), 20.0 + i});
+    results.push_back(fft.Query(3, i * 10.0 / (kExtent * kExtent), 20.0 + i));
   }
-  const auto results = fft.QueryBatch(3, batch);
-  ASSERT_EQ(results.size(), batch.size());
   EXPECT_EQ(built.value(), built_before + 1);  // one field for all 8
   EXPECT_FALSE(results.front().field_cached);
   for (size_t i = 1; i < results.size(); ++i) {
@@ -319,7 +317,7 @@ TEST(FftTest, FieldCacheAmortizesQueriesOnOneTick) {
   }
 
   // A different q_t is a different field.
-  fft.Query(4, batch.front().rho, batch.front().l);
+  fft.Query(4, 10.0 / (kExtent * kExtent), 21.0);
   EXPECT_EQ(built.value(), built_before + 2);
 }
 

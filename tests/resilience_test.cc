@@ -2,9 +2,10 @@
 // horizon validation, admission control, the graceful-degradation ladder,
 // transient-fault retry, and the monitor's resilience integration.
 //
-// Tier tests reach each rung *deterministically* via the enable_exact /
-// enable_approx toggles (and via pre-expired deadlines, which the engines
-// detect at their entry cancellation point) — no timing races.
+// Tier tests reach each rung *deterministically* via the enable_exact
+// toggle and by attaching (or not) the FFT and PA engines (and via
+// pre-expired deadlines, which the engines detect at their entry
+// cancellation point) — no timing races.
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
@@ -12,7 +13,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "pdr/core/fr_engine.h"
@@ -21,6 +24,7 @@
 #include "pdr/core/pa_engine.h"
 #include "pdr/fft/fft_engine.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/obs/audit.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
@@ -329,8 +333,7 @@ TEST(ResilienceTest, LadderSkipsApproxOnMismatchedL) {
 
 TEST(ResilienceTest, LadderHistogramFloorIsConservative) {
   LadderRig rig;
-  ResilientExecutor exec(&rig.fr, &rig.pa,
-                         {.enable_exact = false, .enable_approx = false});
+  ResilientExecutor exec(&rig.fr, nullptr, {.enable_exact = false});
   const TieredResult hist = exec.Query(0, rig.rho, kL);
   EXPECT_EQ(hist.tier, AnswerTier::kHistogram);
 
@@ -423,20 +426,12 @@ TEST(ResilienceTest, LadderPrefersFftOverApproxWhenExactDisabled) {
 
 TEST(ResilienceTest, LadderFftAnswersForLsThePaRungCannotServe) {
   FftLadderRig rig;
-  // PA is pinned to kL; the FFT rung handles any l (kernels are per-l).
+  // PA is pinned to kL; the FFT rung handles any l (block sums are per
+  // half-width).
   ResilientExecutor exec(&rig.fr, &rig.pa, {.enable_exact = false},
                          &rig.fft);
   const TieredResult result = exec.Query(0, rig.rho, kL + 5.0);
   EXPECT_EQ(result.tier, AnswerTier::kFft);
-}
-
-TEST(ResilienceTest, LadderSkipsFftWhenDisabledByPolicy) {
-  FftLadderRig rig;
-  ResilientExecutor exec(&rig.fr, &rig.pa,
-                         {.enable_exact = false, .enable_fft = false},
-                         &rig.fft);
-  const TieredResult result = exec.Query(0, rig.rho, kL);
-  EXPECT_EQ(result.tier, AnswerTier::kApprox);
 }
 
 TEST(ResilienceTest, LadderSkipsFftOutsideItsHorizon) {
@@ -510,6 +505,176 @@ TEST(ResilienceTest, LadderRecordsFftFieldAndCancellationEvents) {
   EXPECT_TRUE(saw_field);
   EXPECT_TRUE(saw_cancel);
   FlightRecorder::SetEnabled(false);
+  FlightRecorder::Global().Reset();
+}
+
+
+// ---------------------------------------------------------------------------
+// The ladder's behaviour matrix: every combination of exact on/off, FFT
+// rung absent / in horizon / out of horizon, PA rung absent / matching l /
+// mismatched l, no control / pre-expired deadline / cancelled token, and
+// degrade on/off (2x3x3x3x2 = 108 cases) against a reference walk written
+// out rung by rung from the ladder's contract.
+
+enum class FftCase { kNone, kInHorizon, kOutOfHorizon };
+enum class PaCase { kNone, kMatchingL, kMismatchedL };
+enum class Control { kNone, kExpiredDeadline, kCancelledToken };
+
+struct LadderWalk {
+  bool throws = false;
+  AnswerTier tier = AnswerTier::kExact;
+  DowngradeReason reason = DowngradeReason::kNone;
+  bool timed_out = false;
+  std::vector<std::pair<std::string, bool>> stages;  // name, completed
+  /// (kind, a, b) of this query's kTierEnter (a = tier, b = reason) and
+  /// kCancelled (a = tier; b, the elapsed time, is not compared) events.
+  std::vector<std::tuple<FrEvent, int64_t, int64_t>> events;
+};
+
+// Exact runs when enabled, fft when attached and q_t is in its horizon,
+// approx when attached with the query's l, and the histogram floor
+// always. Under a fired control every rung but the floor cancels at its
+// entry boundary; the first failure names the downgrade reason (over a
+// policy kDisabled), and without degrade the cancellation propagates.
+LadderWalk ReferenceWalk(bool exact, FftCase fft, PaCase pa, Control control,
+                         bool degrade) {
+  struct Rung {
+    AnswerTier tier;
+    const char* name;
+    bool serves;
+  };
+  const Rung rungs[] = {
+      {AnswerTier::kExact, "exact", exact},
+      {AnswerTier::kFft, "fft", fft == FftCase::kInHorizon},
+      {AnswerTier::kApprox, "approx", pa == PaCase::kMatchingL},
+      {AnswerTier::kHistogram, "histogram", true},
+  };
+  LadderWalk w;
+  if (!exact) w.reason = DowngradeReason::kDisabled;
+  for (const Rung& rung : rungs) {
+    if (!rung.serves) continue;
+    w.events.emplace_back(FrEvent::kTierEnter,
+                          static_cast<int64_t>(rung.tier),
+                          static_cast<int64_t>(w.reason));
+    if (control == Control::kNone || rung.tier == AnswerTier::kHistogram) {
+      w.tier = rung.tier;
+      if (rung.tier == AnswerTier::kExact) {
+        w.stages = {{"filter", true}, {"refine", true}};
+      } else {
+        w.stages.emplace_back(rung.name, true);
+      }
+      return w;
+    }
+    w.stages.emplace_back(rung.name, false);
+    if (w.reason == DowngradeReason::kNone ||
+        w.reason == DowngradeReason::kDisabled) {
+      w.reason = DowngradeReason::kDeadline;
+    }
+    w.timed_out = true;
+    w.events.emplace_back(FrEvent::kCancelled,
+                          static_cast<int64_t>(rung.tier), 0);
+    if (!degrade) {
+      w.throws = true;
+      return w;
+    }
+  }
+  return w;
+}
+
+TEST(ResilienceTest, LadderMatchesItsReferenceWalkAcrossTheMatrix) {
+  FftLadderRig rig;  // fr, pa (l = kL) and fft (horizon kHorizon)
+  PaEngine::Options wide = PaOpts();
+  wide.l = kL + 5.0;
+  PaEngine mismatched(wide);
+  FftDensityEngine myopic({.extent = kExtent, .grid = 64, .horizon = 2});
+  for (const UpdateEvent& e : Workload()) {
+    mismatched.Apply(e);
+    myopic.Apply(e);
+  }
+  // Inside the FR/PA horizon, past the myopic FFT engine's.
+  constexpr Tick kQt = 5;
+
+  const bool was_enabled = FlightRecorder::Enabled();
+  FlightRecorder::SetEnabled(true);
+  int cases = 0;
+  for (const bool exact : {true, false}) {
+    for (const FftCase fft :
+         {FftCase::kNone, FftCase::kInHorizon, FftCase::kOutOfHorizon}) {
+      for (const PaCase pa :
+           {PaCase::kNone, PaCase::kMatchingL, PaCase::kMismatchedL}) {
+        for (const Control control : {Control::kNone,
+                                      Control::kExpiredDeadline,
+                                      Control::kCancelledToken}) {
+          for (const bool degrade : {true, false}) {
+            ++cases;
+            SCOPED_TRACE(::testing::Message()
+                         << "exact=" << exact << " fft=" << int(fft)
+                         << " pa=" << int(pa) << " control=" << int(control)
+                         << " degrade=" << degrade);
+            const LadderWalk want =
+                ReferenceWalk(exact, fft, pa, control, degrade);
+
+            ResilienceOptions options;
+            options.enable_exact = exact;
+            options.degrade = degrade;
+            if (control == Control::kExpiredDeadline) {
+              options.deadline_ms = 1e-9;
+            }
+            CancelToken token;
+            if (control == Control::kCancelledToken) token.Cancel();
+            PaEngine* fallback = pa == PaCase::kNone        ? nullptr
+                                 : pa == PaCase::kMatchingL ? &rig.pa
+                                                            : &mismatched;
+            FftDensityEngine* rung = fft == FftCase::kNone        ? nullptr
+                                     : fft == FftCase::kInHorizon ? &rig.fft
+                                                                  : &myopic;
+            ResilientExecutor exec(&rig.fr, fallback, options, rung);
+
+            FlightRecorder::Global().Reset();
+            TieredResult got;
+            bool threw = false;
+            try {
+              got = exec.Query(kQt, rig.rho, kL, &token);
+            } catch (const CancelledError&) {
+              threw = true;
+            }
+            ASSERT_EQ(threw, want.throws);
+
+            std::vector<std::tuple<FrEvent, int64_t, int64_t>> events;
+            uint32_t qid = 0;
+            for (const MicroEvent& e : FlightRecorder::Global().Snapshot()) {
+              if (e.kind != FrEvent::kTierEnter &&
+                  e.kind != FrEvent::kCancelled) {
+                continue;
+              }
+              if (qid == 0) qid = e.query_id;
+              EXPECT_EQ(e.query_id, qid);  // one query id per walk
+              events.emplace_back(e.kind, e.a,
+                                  e.kind == FrEvent::kCancelled ? 0 : e.b);
+            }
+            EXPECT_NE(qid, 0u);
+            EXPECT_EQ(events, want.events);
+            if (threw) continue;
+
+            EXPECT_EQ(got.explain.query_id, qid);
+            EXPECT_EQ(got.tier, want.tier);
+            EXPECT_EQ(got.downgrade_reason, want.reason);
+            EXPECT_EQ(got.timed_out, want.timed_out);
+            EXPECT_EQ(got.explain.tier, want.tier);
+            EXPECT_EQ(got.explain.downgrade_reason, want.reason);
+            EXPECT_EQ(got.explain.timed_out, want.timed_out);
+            std::vector<std::pair<std::string, bool>> stages;
+            for (const ExplainStage& st : got.explain.stages) {
+              stages.emplace_back(st.name, st.completed);
+            }
+            EXPECT_EQ(stages, want.stages);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 108);
+  FlightRecorder::SetEnabled(was_enabled);
   FlightRecorder::Global().Reset();
 }
 
@@ -604,6 +769,101 @@ std::vector<UpdateEvent> Convoy(int n) {
   return events;
 }
 
+// One stamp per engine: every entry point that answers exactly (the
+// monitor's direct tick, an unladdered batch, the ladder, a snapshot
+// delta over FrEngine::Query, an MVCC snapshot query) and every one that
+// answers through PA must describe the same answer the same way.
+
+struct StampFacts {
+  std::string signature;
+  std::vector<std::string> stages;
+  int64_t objects_fetched = 0;
+  int64_t dense_rects = 0;
+
+  explicit StampFacts(const ExplainRecord& explain)
+      : signature(explain.DeterministicSignature()),
+        objects_fetched(explain.objects_fetched),
+        dense_rects(explain.dense_rects) {
+    for (const ExplainStage& st : explain.stages) stages.push_back(st.name);
+  }
+
+  bool operator==(const StampFacts& o) const {
+    return signature == o.signature && stages == o.stages &&
+           objects_fetched == o.objects_fetched && dense_rects == o.dense_rects;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const StampFacts& f) {
+  return os << f.signature << " objects=" << f.objects_fetched
+            << " rects=" << f.dense_rects;
+}
+
+TEST(ResilienceTest, EveryExactEntryPointStampsOneExplain) {
+  constexpr Tick kLookahead = 3;
+  const double rho = WorkloadRho();
+  FrEngine fr(FrOpts());
+  for (const UpdateEvent& e : Workload()) fr.Apply(e);
+  const PdrMonitor::Options opts{.rho = rho, .l = kL,
+                                 .lookahead = kLookahead};
+
+  PdrMonitor direct(&fr, opts);
+  const PdrMonitor::Delta tick = direct.OnTick(0);
+  ASSERT_EQ(tick.tier, AnswerTier::kExact);
+  const StampFacts want(tick.explain);
+  EXPECT_GT(want.objects_fetched, 0);
+  EXPECT_GT(want.dense_rects, 0);
+  EXPECT_EQ(want.stages, (std::vector<std::string>{"filter", "refine"}));
+
+  PdrMonitor batcher(&fr, opts);
+  const std::vector<TieredResult> batch =
+      batcher.QueryBatch(0, {{rho, kL, kLookahead}});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(StampFacts(batch[0].explain), want);
+
+  ResilientExecutor ladder(&fr, nullptr, {.deadline_ms = 1e9});
+  const TieredResult laddered = ladder.Query(kLookahead, rho, kL);
+  ASSERT_EQ(laddered.tier, AnswerTier::kExact);
+  EXPECT_EQ(StampFacts(laddered.explain), want);
+
+  const PdrMonitor::Delta snapshot = PdrMonitor::MakeSnapshotDelta(
+      0, kLookahead, rho, kL, /*epoch=*/1, fr.Query(kLookahead, rho, kL),
+      0.0);
+  EXPECT_EQ(StampFacts(snapshot.explain), want);
+
+  mvcc::SnapshotManager snapshots;
+  FrEngine::Options mvcc_opts = FrOpts();
+  mvcc_opts.snapshots = &snapshots;
+  FrEngine versioned(mvcc_opts);
+  PdrMonitor concurrent(&versioned, opts);
+  concurrent.StartConcurrent();
+  concurrent.ApplyUpdates(0, Workload());
+  const PdrMonitor::Delta pinned = concurrent.RunSnapshotQuery();
+  EXPECT_GT(pinned.epoch, 0u);
+  EXPECT_EQ(StampFacts(pinned.explain), want);
+}
+
+TEST(ResilienceTest, PaPrimaryTickAndApproxRungStampOneExplain) {
+  constexpr Tick kLookahead = 3;
+  const double rho = WorkloadRho();
+  LadderRig rig;
+
+  PdrMonitor primary(&rig.pa, {.rho = rho, .l = kL, .lookahead = kLookahead});
+  const PdrMonitor::Delta tick = primary.OnTick(0);
+  ASSERT_EQ(tick.explain.tier, AnswerTier::kApprox);
+  EXPECT_GT(tick.explain.bnb_nodes, 0);
+
+  ResilientExecutor ladder(&rig.fr, &rig.pa, {.enable_exact = false});
+  TieredResult approx = ladder.Query(kLookahead, rho, kL);
+  ASSERT_EQ(approx.tier, AnswerTier::kApprox);
+  // The ladder names why exact did not answer; the PA-primary monitor
+  // never tried it. Everything else must match.
+  EXPECT_EQ(approx.downgrade_reason, DowngradeReason::kDisabled);
+  approx.explain.downgrade_reason = tick.explain.downgrade_reason;
+  EXPECT_EQ(StampFacts(approx.explain), StampFacts(tick.explain));
+  EXPECT_EQ(approx.explain.bnb_pruned, tick.explain.bnb_pruned);
+  EXPECT_TRUE(SameRects(approx.region, tick.current));
+}
+
 TEST(ResilienceTest, MonitorStampsTierAndBudget) {
   FrEngine fr(FrOpts());
   for (const UpdateEvent& e : Convoy(30)) fr.Apply(e);
@@ -665,8 +925,7 @@ TEST(ResilienceTest, MonitorOffersDegradedAnswersToTheAuditor) {
   }
   ShadowAuditor auditor(&fr, &oracle, {.sample_rate = 1.0, .l = 10.0});
   PdrMonitor::Options opts{.rho = 20.0 / 100.0, .l = 10.0, .lookahead = 0};
-  opts.resilience.enable_exact = false;   // pin a degraded tier
-  opts.resilience.enable_approx = false;  // (no fallback PA either way)
+  opts.resilience.enable_exact = false;  // pin a degraded tier (no PA)
   PdrMonitor monitor(&fr, opts);
   monitor.SetAuditor(&auditor);
   const auto delta = monitor.OnTick(0);
@@ -719,7 +978,7 @@ TEST(ResilienceTest, MonitorQueryBatchAmortizesOneFieldPerTargetTick) {
       MetricsRegistry::Global().GetCounter("pdr.fft.fields_built");
   const int64_t built_before = built.value();
 
-  // Eight specs over two distinct target ticks: exactly two transforms.
+  // Eight specs over two distinct target ticks: exactly two fields.
   std::vector<PdrMonitor::BatchQuerySpec> specs;
   for (int i = 0; i < 6; ++i) {
     specs.push_back({WorkloadRho() * (0.5 + 0.3 * i), kL + i, /*lookahead=*/0});
