@@ -1,7 +1,8 @@
 // Ablation: the TPR-tree substrate. Compares the refinement step's I/O
-// when candidate-cell range queries go through the TPR-tree against the
-// page count a heap-file scan of the whole object table would read, and
-// shows how candidate selectivity drives the advantage across varrho.
+// when the candidate clusters' range queries go through the TPR-tree
+// against the page count a heap-file scan of the whole object table would
+// read, and shows how candidate selectivity drives the advantage across
+// varrho.
 
 #include <cstdio>
 
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   const Tick q_t = workload.now + env.paper.prediction_window / 2;
 
   // A heap file of 40-byte entries; an index-free refinement would scan it
-  // once per candidate-cell range query.
+  // once per candidate cell (the paper's one range query per cell).
   const double heap_pages =
       std::ceil(static_cast<double>(objects) * 40 / kPageSize);
 
@@ -46,9 +47,12 @@ int main(int argc, char** argv) {
                heap_pages});
   }
   std::printf(
-      "\nExpected: TPR reads a handful of pages per candidate range query "
-      "(vs a full heap scan per candidate). When candidates are numerous a "
-      "single shared scan would win — the filter's job is to keep them "
-      "few.\n");
+      "\nExpected: TPR reads a fraction of a page per candidate (vs a full "
+      "heap scan per candidate). Candidates are legion on the paper's "
+      "workloads (about 2,800 of 10,000 cells at varrho 3, l 30), which is "
+      "why refinement fetches once per cluster of adjacent candidates. One "
+      "shared heap scan still reads fewer pages than the clusters' "
+      "cold-cache traversals: the tree's nodes are partly full, and its "
+      "root path and shared leaves are re-read across clusters.\n");
   return 0;
 }

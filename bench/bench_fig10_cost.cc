@@ -3,8 +3,8 @@
 //
 //  * 10(a): total cost vs varrho on CH100K for PA and FR, l in {30, 60}.
 //    Expected shape: PA an order of magnitude (or more) below FR — FR
-//    pays TPR-tree range-query I/O plus plane-sweep CPU per candidate
-//    cell; PA evaluates in-memory polynomials only.
+//    pays TPR-tree range-query I/O per candidate cluster plus plane-sweep
+//    CPU per candidate cell; PA evaluates in-memory polynomials only.
 //  * 10(b): total cost vs dataset size (CH10K/CH100K/CH500K) at l = 30,
 //    varrho = 1. Expected shape: FR cost grows roughly linearly with N,
 //    PA cost is nearly flat (it depends on coefficient count, not N).

@@ -289,9 +289,9 @@ BENCHMARK(BM_RecorderRecord);
 
 // End-to-end FR query on a pre-built engine: the probe behind the CI
 // recorder-overhead gate (scripts/check_overhead.sh). The query path
-// crosses every instrumented subsystem — filter, per-cell refinement,
-// plane sweep, buffer pool — so the off-vs-on delta of this bench bounds
-// what always-on recording costs a serving process.
+// crosses every instrumented subsystem — filter, per-cluster fetch,
+// per-cell plane sweep, buffer pool — so the off-vs-on delta of this
+// bench bounds what always-on recording costs a serving process.
 void RunFrQuery(benchmark::State& state, bool recorder_on) {
   const bool was_enabled = FlightRecorder::Enabled();
   FlightRecorder::SetEnabled(recorder_on);

@@ -19,12 +19,23 @@
 # reference point: re-run after a performance- or accuracy-relevant change
 # and diff to see what moved.
 #
+# Every bench carries its own provenance (git SHA and dirty flag, UTC
+# date, core count, compiler, build type) in the top-level "provenance"
+# map, so a file whose series were recorded at different times still
+# says where each one came from.
+#
 # Usage: scripts/bench_baseline.sh [--scale=X | --full] [--build DIR]
+#                                  [--only B1,B2,...]
 #
 #   --scale=X   dataset-size multiplier forwarded to every bench
 #               (default 0.1, the benches' own default)
 #   --full      paper scale (forwarded; implies scale 1.0)
 #   --build DIR build tree holding the bench binaries (default: build)
+#   --only LIST re-record just these entries of "benches" (e.g.
+#               bench_fig10_cost,bench_fig10_cost.threads_hw,replay,
+#               flight_recorder) and merge them into the existing file,
+#               keeping every other bench and its provenance; the scale
+#               must match the file's
 
 set -euo pipefail
 
@@ -32,6 +43,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${repo}/build"
 bench_args=()
 scale="0.1"
+only=""
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -49,6 +61,14 @@ while [[ $# -gt 0 ]]; do
       scale="${1#--scale=}"
       shift
       ;;
+    --only)
+      only="$2"
+      shift 2
+      ;;
+    --only=*)
+      only="${1#--only=}"
+      shift
+      ;;
     *)
       echo "unknown argument: $1" >&2
       exit 2
@@ -56,9 +76,31 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-benches=(bench_fig8_accuracy bench_fig8_memory bench_fig10_cost
-         bench_durability bench_resilience bench_mvcc bench_fft)
-for b in "${benches[@]}"; do
+all_benches=(bench_fig8_accuracy bench_fig8_memory bench_fig10_cost
+             bench_durability bench_resilience bench_mvcc bench_fft)
+known=("${all_benches[@]}" bench_fig10_cost.threads_hw replay
+       flight_recorder)
+
+# wanted NAME: true when NAME is recorded in this run.
+wanted() {
+  [[ -z "${only}" ]] && return 0
+  [[ ",${only}," == *",$1,"* ]]
+}
+if [[ -n "${only}" ]]; then
+  IFS=, read -r -a only_list <<<"${only}"
+  for name in "${only_list[@]}"; do
+    if [[ " ${known[*]} " != *" ${name} "* ]]; then
+      echo "error: --only: unknown bench '${name}' (known: ${known[*]})" >&2
+      exit 2
+    fi
+  done
+fi
+
+benches=()
+for b in "${all_benches[@]}"; do
+  if wanted "${b}"; then benches+=("${b}"); fi
+done
+for b in ${benches[@]+"${benches[@]}"}; do
   if [[ ! -x "${build}/bench/${b}" ]]; then
     echo "error: ${build}/bench/${b} not built (cmake --build ${build})" >&2
     exit 1
@@ -68,7 +110,7 @@ done
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "${tmpdir}"' EXIT
 
-for b in "${benches[@]}"; do
+for b in ${benches[@]+"${benches[@]}"}; do
   echo "==== ${b} (threads=1) ===="
   "${build}/bench/${b}" --jsonl="${tmpdir}/${b}.jsonl" \
       ${bench_args[@]+"${bench_args[@]}"} >/dev/null
@@ -77,10 +119,12 @@ done
 # The cost bench again at hardware concurrency: same answers, parallel
 # refinement/branch-and-bound timings.
 hw="$(nproc 2>/dev/null || echo 0)"
-echo "==== bench_fig10_cost (threads=${hw}) ===="
-"${build}/bench/bench_fig10_cost" --threads=0 \
-    --jsonl="${tmpdir}/bench_fig10_cost.threads_hw.jsonl" \
-    ${bench_args[@]+"${bench_args[@]}"} >/dev/null
+if wanted bench_fig10_cost.threads_hw; then
+  echo "==== bench_fig10_cost (threads=${hw}) ===="
+  "${build}/bench/bench_fig10_cost" --threads=0 \
+      --jsonl="${tmpdir}/bench_fig10_cost.threads_hw.jsonl" \
+      ${bench_args[@]+"${bench_args[@]}"} >/dev/null
+fi
 
 # Flight-recorder series: (a) the overhead probe pair from bench_micro —
 # the same off/on interleaved comparison scripts/check_overhead.sh gates
@@ -89,7 +133,9 @@ echo "==== bench_fig10_cost (threads=${hw}) ===="
 # Chrome trace) from a seeded pdr_tool run, so dump-volume regressions
 # show up in the diff. Both are skipped (with a note) when the binaries
 # aren't in the build tree.
-if [[ -x "${build}/bench/bench_micro" ]]; then
+if ! wanted flight_recorder; then
+  :
+elif [[ -x "${build}/bench/bench_micro" ]]; then
   echo "==== bench_micro recorder overhead probe ===="
   env -u PDR_FLIGHT_RECORDER "${build}/bench/bench_micro" \
       --benchmark_filter='^BM_FrQuery(RecorderOn)?$' \
@@ -106,7 +152,9 @@ fi
 # rows kept: the gate compares min-of-N on both sides, so a baseline
 # recorded from a single lucky-fast run would read every later
 # (honest) measurement as a regression.
-if [[ -x "${build}/examples/pdr_tool" && \
+if ! wanted replay; then
+  :
+elif [[ -x "${build}/examples/pdr_tool" && \
       -f "${repo}/tests/fixtures/ci_workload.wlog" ]]; then
   echo "==== pdr_tool replay --bench (canned CI workload) ===="
   : >"${tmpdir}/replay.jsonl"
@@ -119,7 +167,9 @@ if [[ -x "${build}/examples/pdr_tool" && \
 else
   echo "note: pdr_tool or replay fixture missing; skipping replay series"
 fi
-if [[ -x "${build}/examples/pdr_tool" ]]; then
+if ! wanted flight_recorder; then
+  :
+elif [[ -x "${build}/examples/pdr_tool" ]]; then
   echo "==== pdr_tool seeded deadline-miss dump ===="
   dumpdir="${tmpdir}/fr_dumps"
   mkdir -p "${dumpdir}"
@@ -139,6 +189,7 @@ git_dirty="clean"
 if ! git -C "${repo}" diff --quiet HEAD 2>/dev/null; then
   git_dirty="dirty"
 fi
+nproc_now="$(nproc 2>/dev/null || echo unknown)"
 cxx_path="$(sed -n 's/^CMAKE_CXX_COMPILER:[^=]*=//p' \
     "${build}/CMakeCache.txt" 2>/dev/null | head -1)"
 cxx_version="$("${cxx_path:-c++}" --version 2>/dev/null | head -1 || echo unknown)"
@@ -149,28 +200,54 @@ cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS:[^=]*=//p' \
 date_utc="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 out="${repo}/BENCH_baseline.json"
-PDR_META_GIT="${git_sha} (${git_dirty})" \
+PDR_META_GIT="${git_sha}" \
+PDR_META_DIRTY="${git_dirty}" \
+PDR_META_NPROC="${nproc_now}" \
 PDR_META_COMPILER="${cxx_version}" \
 PDR_META_BUILD_TYPE="${build_type:-}" \
 PDR_META_CXX_FLAGS="${cxx_flags:-}" \
 PDR_META_DATE="${date_utc}" \
-python3 - "$out" "$scale" "${tmpdir}" "${benches[@]}" <<'PY'
+PDR_ONLY="${only}" \
+python3 - "$out" "$scale" "${tmpdir}" ${benches[@]+"${benches[@]}"} <<'PY'
 import json
 import os
 import sys
 
 out_path, scale, tmpdir = sys.argv[1], sys.argv[2], sys.argv[3]
 benches = sys.argv[4:]
+only = [b for b in os.environ.get("PDR_ONLY", "").split(",") if b]
 
-doc = {"schema": "pdr-bench-baseline/v2", "scale": float(scale),
-       "metadata": {
-           "git": os.environ.get("PDR_META_GIT", "unknown"),
-           "compiler": os.environ.get("PDR_META_COMPILER", "unknown"),
-           "build_type": os.environ.get("PDR_META_BUILD_TYPE", ""),
-           "cxx_flags": os.environ.get("PDR_META_CXX_FLAGS", ""),
-           "date": os.environ.get("PDR_META_DATE", ""),
-       },
-       "benches": {}}
+provenance = {
+    "git": os.environ.get("PDR_META_GIT", "unknown"),
+    "dirty": os.environ.get("PDR_META_DIRTY", "unknown") == "dirty",
+    "date": os.environ.get("PDR_META_DATE", ""),
+    "nproc": os.environ.get("PDR_META_NPROC", "unknown"),
+    "compiler": os.environ.get("PDR_META_COMPILER", "unknown"),
+    "build_type": os.environ.get("PDR_META_BUILD_TYPE", ""),
+    "cxx_flags": os.environ.get("PDR_META_CXX_FLAGS", ""),
+}
+
+doc = {"schema": "pdr-bench-baseline/v3", "scale": float(scale),
+       "provenance": {}, "benches": {}}
+if only:
+    # Merge: start from the committed file and replace only what this run
+    # records. A file from before per-bench provenance keeps its old
+    # file-wide metadata as the (unattributed) provenance of every series
+    # it carried.
+    with open(out_path) as f:
+        old = json.load(f)
+    if float(old.get("scale", scale)) != float(scale):
+        sys.exit(f"--only: scale {scale} differs from the file's "
+                 f"{old.get('scale')}; re-record everything instead")
+    doc["benches"] = old.get("benches", {})
+    doc["provenance"] = old.get("provenance", {})
+    legacy = old.get("metadata")
+    for name in doc["benches"]:
+        if name not in doc["provenance"] and legacy is not None:
+            doc["provenance"][name] = dict(
+                legacy, note="file-wide metadata of a run that predates "
+                             "per-bench provenance; the series may have "
+                             "been recorded elsewhere")
 
 
 def collect(path):
@@ -187,12 +264,22 @@ def collect(path):
     return series
 
 
+recorded = []
+
+
+def record(name, series):
+    doc["benches"][name] = series
+    doc["provenance"][name] = provenance
+    recorded.append(name)
+
+
 for bench in benches:
-    doc["benches"][bench] = collect(f"{tmpdir}/{bench}.jsonl")
+    record(bench, collect(f"{tmpdir}/{bench}.jsonl"))
 # Hardware-concurrency rerun of the cost bench (threads=hw vs the
 # threads=1 series above).
-doc["benches"]["bench_fig10_cost.threads_hw"] = collect(
-    f"{tmpdir}/bench_fig10_cost.threads_hw.jsonl")
+threads_hw = f"{tmpdir}/bench_fig10_cost.threads_hw.jsonl"
+if os.path.exists(threads_hw):
+    record("bench_fig10_cost.threads_hw", collect(threads_hw))
 
 # Replay bench over the canned CI workload (the check_replay.sh p99 gate
 # reads doc["benches"]["replay"]["replay_bench"]). A machine-speed
@@ -204,7 +291,7 @@ doc["benches"]["bench_fig10_cost.threads_hw"] = collect(
 # as much as wall time.
 replay_jsonl = os.path.join(tmpdir, "replay.jsonl")
 if os.path.exists(replay_jsonl):
-    doc["benches"]["replay"] = collect(replay_jsonl)
+    record("replay", collect(replay_jsonl))
 
     import hashlib
     import time
@@ -238,9 +325,9 @@ if os.path.exists(probe):
     off = mins.get("BM_FrQuery")
     on = mins.get("BM_FrQueryRecorderOn")
     if off and on:
-        doc["benches"]["flight_recorder"] = {"overhead": [{
+        record("flight_recorder", {"overhead": [{
             "off_ms": off / 1e6, "on_ms": on / 1e6,
-            "overhead_pct": 100.0 * (on - off) / off}]}
+            "overhead_pct": 100.0 * (on - off) / off}]})
 
 # Dump volume: sizes of the seeded deadline-miss dump pair.
 dumpdir = os.path.join(tmpdir, "fr_dumps")
@@ -258,7 +345,9 @@ if os.path.isdir(dumpdir):
             row["trace_bytes"] = os.path.getsize(stem + ".trace.json")
         rows.append(row)
     if rows:
-        doc["benches"].setdefault("flight_recorder", {})["dump_size"] = rows
+        if "flight_recorder" not in recorded:
+            record("flight_recorder", {})
+        doc["benches"]["flight_recorder"]["dump_size"] = rows
 
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=1, sort_keys=True)
@@ -266,5 +355,6 @@ with open(out_path, "w") as f:
 
 rows = sum(len(v) for b in doc["benches"].values() for v in b.values())
 print(f"wrote {out_path}: {rows} rows across "
-      f"{sum(len(b) for b in doc['benches'].values())} series")
+      f"{sum(len(b) for b in doc['benches'].values())} series; "
+      f"recorded {', '.join(recorded) or 'nothing'}")
 PY

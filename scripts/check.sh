@@ -47,7 +47,7 @@ run_config() {
 EXTRA_CTEST_ARGS=("$@")
 
 # Everything that touches the thread pool, the parallel query paths, the
-# buffer pool's read phase, or cross-thread tracing. TSan runs ~10x slower,
+# buffer pool, or cross-thread tracing. TSan runs ~10x slower,
 # so the single-threaded math/geometry suites are skipped there (ASan
 # covers them above). The FFT lanes (FftTest, FftMetamorphicTest) are
 # single-threaded block-sum math and stay out for the same reason;

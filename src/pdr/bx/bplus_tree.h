@@ -57,8 +57,7 @@ class BPlusTree {
   bool Find(uint64_t key, BPlusRecord* out);
 
   /// Visits every record with lo <= key <= hi in key order. The visitor
-  /// returns false to stop early. Read-only; concurrent scans are safe
-  /// when the shared pool is in its read-mostly phase.
+  /// returns false to stop early. Read-only.
   void ScanRange(uint64_t lo, uint64_t hi,
                  const std::function<bool(const BPlusRecord&)>& visit) const;
 

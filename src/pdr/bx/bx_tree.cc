@@ -164,12 +164,7 @@ std::vector<std::pair<ObjectId, MotionState>> BxTree::RangeQueryFrom(
     const ReadView& view, BufferPool& pool, const Rect& window, Tick t,
     std::atomic<int64_t>* scanned_total) {
   TraceSpan span("bx.range_query");
-  // Inside a concurrent-reads phase, pool-wide stats mix in other threads'
-  // I/O; attribute this query's span from the calling thread's delta.
-  const bool phased = pool.in_read_phase();
-  const IoStats io_before =
-      span.active() ? (phased ? pool.PeekThreadIoDelta() : pool.stats())
-                    : IoStats{};
+  const IoStats io_before = span.active() ? pool.stats() : IoStats{};
   int64_t scanned = 0;  // local tally, folded into the atomic once at exit
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.bx.range_queries");
@@ -235,8 +230,7 @@ std::vector<std::pair<ObjectId, MotionState>> BxTree::RangeQueryFrom(
   }
   scanned_counter.Add(scanned);
   if (span.active()) {
-    const IoStats delta =
-        (phased ? pool.PeekThreadIoDelta() : pool.stats()) - io_before;
+    const IoStats delta = pool.stats() - io_before;
     span.SetAttr("partitions", p_hi - p_lo + 1);
     span.SetAttr("scanned", scanned);
     span.SetAttr("results", static_cast<int64_t>(out.size()));

@@ -71,9 +71,6 @@ class BxTree : public ObjectIndex {
   IoStats io_stats() const override { return pool_.stats(); }
   void ResetIoStats() override { pool_.ResetStats(); }
   void DropCaches() override { pool_.Clear(); }
-  void BeginConcurrentReads() override { pool_.BeginReadPhase(); }
-  void EndConcurrentReads() override { pool_.EndReadPhase(); }
-  IoStats TakeThreadIoDelta() override { return pool_.TakeThreadIoDelta(); }
 
   Tick now() const { return now_; }
   Tick phase_span() const { return phase_span_; }

@@ -1,5 +1,6 @@
 #include "pdr/core/fr_engine.h"
 
+#include <cassert>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -78,6 +79,50 @@ struct FrMetrics {
     return m;
   }
 };
+
+// One candidate cluster's fetch: the positions at q_t of the objects its
+// window holds, counting-sorted by the grid cell they fall in
+// (Grid::ColOf/RowOf) over the cells the window spans. Bucket (col, row)
+// is positions[offsets[b], offsets[b + 1]) with
+// b = (row - row_lo) * cols + (col - col_lo).
+struct ClusterFetch {
+  int col_lo = 0, row_lo = 0, cols = 0;
+  std::vector<Vec2> positions;
+  std::vector<uint32_t> offsets;
+};
+
+ClusterFetch FetchCluster(const Grid& grid, const ObjectIndex& index,
+                          const Rect& window, Tick q_t) {
+  ClusterFetch fetch;
+  fetch.col_lo = grid.ColOf(window.x_lo);
+  fetch.row_lo = grid.RowOf(window.y_lo);
+  fetch.cols = grid.ColOf(window.x_hi) - fetch.col_lo + 1;
+  const int rows = grid.RowOf(window.y_hi) - fetch.row_lo + 1;
+  std::vector<Vec2> unsorted;
+  for (const auto& [id, state] : index.RangeQuery(window, q_t)) {
+    (void)id;
+    unsorted.push_back(state.PositionAt(q_t));
+  }
+  const auto bucket = [&](Vec2 p) {
+    const int col = grid.ColOf(p.x) - fetch.col_lo;
+    const int row = grid.RowOf(p.y) - fetch.row_lo;
+    // Every result lies in `window`, and ColOf/RowOf are monotone.
+    assert(col >= 0 && col < fetch.cols && row >= 0 && row < rows);
+    return static_cast<size_t>(row) * fetch.cols + col;
+  };
+  // Count into b + 2 and scatter through b + 1: that leaves offsets[b] at
+  // the start of bucket b.
+  fetch.offsets.assign(static_cast<size_t>(fetch.cols) * rows + 2, 0);
+  for (const Vec2 p : unsorted) ++fetch.offsets[bucket(p) + 2];
+  for (size_t b = 2; b < fetch.offsets.size(); ++b) {
+    fetch.offsets[b] += fetch.offsets[b - 1];
+  }
+  fetch.positions.resize(unsorted.size());
+  for (const Vec2 p : unsorted) {
+    fetch.positions[fetch.offsets[bucket(p) + 1]++] = p;
+  }
+  return fetch;
+}
 
 }  // namespace
 
@@ -241,32 +286,50 @@ FrEngine::QueryResult FrQueryCore(
 
   // --- refinement step -----------------------------------------------------
   // Three sub-phases so serial and parallel execution produce the same
-  // rectangle sequence: collect candidate cells in row-major order, refine
-  // each candidate independently (inline and in order when serial, fanned
-  // out over the pool when parallel), then merge per-cell outputs back in
-  // row-major order, interleaved with the accepted cells' rectangles.
+  // rectangle sequence and the same I/O. Fetch: one range query per
+  // 8-connected cluster of candidate cells, over the bounding box of its
+  // members' l/2-windows, on the calling thread; the positions are bucketed
+  // by grid cell. Sweep: each candidate gathers exactly the objects its own
+  // window holds from its cluster's buckets and sweeps them (inline and in
+  // order when serial, fanned out over the pool when parallel). Merge:
+  // per-cell outputs in row-major order, interleaved with the accepted
+  // cells' rectangles.
   Timer refine_timer;
   const int m = grid.cells_per_side();
+  const QueryControl* control = ctl.active() ? &ctl : nullptr;
   struct Candidate {
     int col, row;
+    size_t cluster;
   };
   struct CellOut {
     std::vector<Rect> rects;
     int64_t objects = 0;
     SweepStats sweep;
   };
+  // Cancellation points after the filter and per cluster: one fetch is at
+  // most one traversal.
+  if (control != nullptr) control->Check();
+  const std::vector<CandidateCluster> clusters = CandidateClusters(filter);
+  std::vector<ClusterFetch> fetches;
+  fetches.reserve(clusters.size());
+  std::vector<size_t> cluster_of(static_cast<size_t>(m) * m);
+  for (size_t k = 0; k < clusters.size(); ++k) {
+    if (control != nullptr) control->Check();
+    for (const int cell : clusters[k].cells) cluster_of[cell] = k;
+    fetches.push_back(
+        FetchCluster(grid, index, clusters[k].FetchWindow(grid, l), q_t));
+  }
+
   std::vector<Candidate> candidates;
+  candidates.reserve(static_cast<size_t>(filter.candidates));
   for (int row = 0; row < m; ++row) {
     for (int col = 0; col < m; ++col) {
       if (filter.At(col, row) == CellClass::kCandidate) {
-        candidates.push_back({col, row});
+        candidates.push_back({col, row, cluster_of[grid.FlatIndex(col, row)]});
       }
     }
   }
-
-  const bool fan_out = pool != nullptr && candidates.size() > 1;
   std::vector<CellOut> outs(candidates.size());
-  const QueryControl* control = ctl.active() ? &ctl : nullptr;
 
   const auto refine_cell = [&](int64_t i) {
     // Cancellation point per candidate cell (plus per sweep strip inside
@@ -277,49 +340,41 @@ FrEngine::QueryResult FrQueryCore(
     TraceSpan cell_span("fr.cell");
     FlightRecorder::Record(FrEvent::kCellBegin,
                            FlightRecorder::Pack(c.col, c.row));
-    // Serial: per-cell I/O is a pool-stats delta (nothing else touches the
-    // pool). Parallel: pool-wide stats mix all threads, so attribute from
-    // this thread's delta instead (cleared here, read after the work).
-    const IoStats cell_io_before =
-        cell_span.active() && !fan_out ? index.io_stats() : IoStats{};
-    if (fan_out) index.TakeThreadIoDelta();
+    // The cell's own range query would return exactly the fetched objects
+    // its window holds: the index applies the same closed test to the same
+    // PositionAt(q_t) double, and the window lies inside the cluster's.
     const Rect cell = grid.CellRect(c.col, c.row);
     const Rect window = cell.Expanded(l / 2);
-    const auto objects = index.RangeQuery(window, q_t);
-    out.objects = static_cast<int64_t>(objects.size());
+    const ClusterFetch& fetch = fetches[c.cluster];
+    const int col_lo = grid.ColOf(window.x_lo) - fetch.col_lo;
+    const int col_hi = grid.ColOf(window.x_hi) - fetch.col_lo;
     std::vector<Vec2> positions;
-    positions.reserve(objects.size());
-    for (const auto& [id, state] : objects) {
-      (void)id;
-      const Vec2 p = state.PositionAt(q_t);
-      if (grid.InDomain(p)) positions.push_back(p);
+    for (int row = grid.RowOf(window.y_lo); row <= grid.RowOf(window.y_hi);
+         ++row) {
+      const size_t base = static_cast<size_t>(row - fetch.row_lo) * fetch.cols;
+      for (uint32_t j = fetch.offsets[base + col_lo];
+           j < fetch.offsets[base + col_hi + 1]; ++j) {
+        const Vec2 p = fetch.positions[j];
+        if (!window.ContainsClosed(p)) continue;
+        ++out.objects;
+        if (grid.InDomain(p)) positions.push_back(p);
+      }
     }
     out.rects = SweepCell(cell, positions, l, n_min, &out.sweep, control);
     FlightRecorder::Record(
         FrEvent::kCellEnd, FlightRecorder::Pack(c.col, c.row),
         FlightRecorder::Pack(out.objects, out.sweep.dense_rects));
     if (cell_span.active()) {
-      const IoStats cell_io = fan_out ? index.TakeThreadIoDelta()
-                                      : index.io_stats() - cell_io_before;
       cell_span.SetAttr("col", c.col);
       cell_span.SetAttr("row", c.row);
       cell_span.SetAttr("objects", out.objects);
       cell_span.SetAttr("dense_rects", out.sweep.dense_rects);
-      cell_span.SetAttr("io_reads", cell_io.physical_reads);
-      cell_span.SetAttr("io_logical", cell_io.logical_reads);
     }
   };
 
-  if (fan_out) {
-    index.BeginConcurrentReads();
-    try {
-      pool->ParallelFor(static_cast<int64_t>(candidates.size()), refine_cell,
-                        control);
-    } catch (...) {
-      index.EndConcurrentReads();
-      throw;
-    }
-    index.EndConcurrentReads();
+  if (pool != nullptr && candidates.size() > 1) {
+    pool->ParallelFor(static_cast<int64_t>(candidates.size()), refine_cell,
+                      control);
   } else {
     for (int64_t i = 0; i < static_cast<int64_t>(candidates.size()); ++i) {
       refine_cell(i);

@@ -7,10 +7,15 @@
 //      candidate from the conservative and expansive neighborhood counts
 //      (Algorithm 1). Accepted cells enter the answer whole; rejected
 //      cells are discarded.
-//   2. Refine: for each candidate cell, run a spatio-temporal range query
-//      over the TPR-tree with the cell expanded by l/2 (the square S of
-//      Section 5.3), then the two-level plane sweep (Algorithms 2-3)
-//      produces the exact dense rectangles inside the cell.
+//   2. Refine: each candidate cell needs the objects inside the cell
+//      expanded by l/2 (the square S of Section 5.3). The paper runs one
+//      spatio-temporal range query per candidate cell; here candidate
+//      cells are grouped into 8-connected clusters and each cluster is
+//      fetched with one range query over the bounding box of its members'
+//      squares, from which every cell takes exactly the objects its own
+//      query would have returned (DESIGN.md §6, "The grouped fetch"). The
+//      two-level plane sweep (Algorithms 2-3) then produces the exact
+//      dense rectangles inside each cell.
 //
 // Cost accounting follows the paper: CPU is measured wall time, I/O is
 // the TPR-tree's physical page reads charged at io_ms each (the histogram
@@ -88,9 +93,10 @@ class FrEngine {
   explicit FrEngine(const Options& options);
   ~FrEngine();
 
-  /// Switches how refinement fans out. Per-candidate-cell results merge in
-  /// row-major cell order, so the answer (and every counter derived from
-  /// it) is bit-identical to serial execution at any thread count.
+  /// Switches how refinement fans out. The fetch runs on the calling
+  /// thread and per-candidate-cell sweeps merge in row-major cell order, so
+  /// the answer and every counter, I/O included, are bit-identical to
+  /// serial execution at any thread count.
   void SetExecPolicy(const ExecPolicy& exec);
   const ExecPolicy& exec_policy() const { return options_.exec; }
 
@@ -106,7 +112,10 @@ class FrEngine {
     int64_t accepted_cells = 0;
     int64_t rejected_cells = 0;
     int64_t candidate_cells = 0;
-    int64_t objects_fetched = 0;  ///< leaf entries returned by range queries
+    /// Objects in each candidate cell's l/2-window, summed over cells
+    /// (what per-cell range queries would return; the grouped fetch
+    /// touches each object about once).
+    int64_t objects_fetched = 0;
     SweepStats sweep;
     double filter_ms = 0.0;  ///< CPU spent in the filtering step
     double refine_ms = 0.0;  ///< CPU spent in refinement (fan-out + merge)
@@ -124,8 +133,9 @@ class FrEngine {
   /// only, so answers past it would be silent extrapolation.
   ///
   /// An active `ctl` (deadline and/or cancel token) is checked at entry,
-  /// before each candidate cell's refinement, per plane-sweep strip at
-  /// both sweep levels, and by ParallelFor runners between cells; a
+  /// after the filter, before each candidate cluster's range query, before
+  /// each candidate cell's sweep, per plane-sweep strip at both sweep
+  /// levels, and by ParallelFor runners between cells; a
   /// cancelled query throws CancelledError within one work quantum. The
   /// default (inactive) control leaves the query path bit-identical to
   /// uncontrolled execution.

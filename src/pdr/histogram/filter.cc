@@ -16,6 +16,51 @@ std::vector<int64_t> SummedAreaTable::BlockSums(int half_width) const {
   return out;
 }
 
+Rect CandidateCluster::FetchWindow(const Grid& grid, double l) const {
+  Rect window = grid.CellRect(cells.front()).Expanded(l / 2);
+  for (const int cell : cells) {
+    window = window.Union(grid.CellRect(cell).Expanded(l / 2));
+  }
+  return window;
+}
+
+std::vector<CandidateCluster> CandidateClusters(const FilterResult& filter) {
+  const int m = filter.cells_per_side;
+  std::vector<bool> seen(filter.classes.size(), false);
+  std::vector<CandidateCluster> clusters;
+  std::vector<int> stack;
+  for (int first = 0; first < m * m; ++first) {
+    if (seen[first] || filter.classes[first] != CellClass::kCandidate) continue;
+    CandidateCluster cluster;
+    cluster.col_lo = cluster.col_hi = first % m;
+    cluster.row_lo = cluster.row_hi = first / m;
+    seen[first] = true;
+    stack.push_back(first);
+    while (!stack.empty()) {
+      const int cell = stack.back();
+      stack.pop_back();
+      cluster.cells.push_back(cell);
+      const int col = cell % m, row = cell / m;
+      cluster.col_lo = std::min(cluster.col_lo, col);
+      cluster.col_hi = std::max(cluster.col_hi, col);
+      cluster.row_lo = std::min(cluster.row_lo, row);
+      cluster.row_hi = std::max(cluster.row_hi, row);
+      for (int r = std::max(0, row - 1); r <= std::min(m - 1, row + 1); ++r) {
+        for (int c = std::max(0, col - 1); c <= std::min(m - 1, col + 1); ++c) {
+          const int next = r * m + c;
+          if (!seen[next] && filter.classes[next] == CellClass::kCandidate) {
+            seen[next] = true;
+            stack.push_back(next);
+          }
+        }
+      }
+    }
+    std::sort(cluster.cells.begin(), cluster.cells.end());
+    clusters.push_back(std::move(cluster));
+  }
+  return clusters;
+}
+
 int64_t MinObjectsForDensity(double rho, double l) {
   return static_cast<int64_t>(std::ceil(rho * l * l - 1e-9));
 }

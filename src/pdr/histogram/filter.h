@@ -60,6 +60,21 @@ struct FilterResult {
   }
 };
 
+/// One 8-connected component of candidate cells: FR's refinement fetches
+/// each with a single range query (DESIGN.md §6, "The grouped fetch").
+struct CandidateCluster {
+  std::vector<int> cells;  ///< flat row-major indices, ascending
+  int col_lo = 0, row_lo = 0, col_hi = 0, row_hi = 0;  ///< cell bounding box
+
+  /// Bounding box of the members' windows CellRect(col, row).Expanded(l/2):
+  /// a min/max of those doubles, so it contains every member's window.
+  Rect FetchWindow(const Grid& grid, double l) const;
+};
+
+/// The 8-connected components of the candidate cells of `filter`, numbered
+/// in row-major order of their first cell.
+std::vector<CandidateCluster> CandidateClusters(const FilterResult& filter);
+
 /// Inclusive 2-D prefix sums of an m x m row-major image of integer
 /// counts: the count of any centered block of cells in four lookups,
 /// exact because every sum is an integer.
@@ -80,10 +95,17 @@ class SummedAreaTable {
   /// Sum of the cells within Chebyshev distance `half_width` of
   /// (col, row), clipped at the grid edge; 0 when half_width < 0.
   int64_t BlockSum(int col, int row, int half_width) const {
-    const int c_lo = std::max(0, col - half_width);
-    const int c_hi = std::min(m_ - 1, col + half_width);
-    const int r_lo = std::max(0, row - half_width);
-    const int r_hi = std::min(m_ - 1, row + half_width);
+    return BoxSum(col - half_width, row - half_width, col + half_width,
+                  row + half_width);
+  }
+
+  /// Sum of the cells in columns [c_lo, c_hi] and rows [r_lo, r_hi],
+  /// clipped at the grid edge; 0 when the clipped box is empty.
+  int64_t BoxSum(int c_lo, int r_lo, int c_hi, int r_hi) const {
+    c_lo = std::max(0, c_lo);
+    r_lo = std::max(0, r_lo);
+    c_hi = std::min(m_ - 1, c_hi);
+    r_hi = std::min(m_ - 1, r_hi);
     if (c_lo > c_hi || r_lo > r_hi) return 0;
     return sums_[Index(r_hi + 1, c_hi + 1)] - sums_[Index(r_lo, c_hi + 1)] -
            sums_[Index(r_hi + 1, c_lo)] + sums_[Index(r_lo, c_lo)];

@@ -45,9 +45,8 @@ class ObjectIndex {
   virtual void AdvanceTo(Tick now) = 0;
 
   /// All objects whose predicted position at tick `t` lies inside the
-  /// closed rectangle `window`. Const and data-race-free: many threads may
-  /// range-query concurrently between BeginConcurrentReads and
-  /// EndConcurrentReads (and a single thread may always do so).
+  /// closed rectangle `window`: exactly those with
+  /// window.ContainsClosed(state.PositionAt(t)).
   virtual std::vector<std::pair<ObjectId, MotionState>> RangeQuery(
       const Rect& window, Tick t) const = 0;
 
@@ -60,17 +59,6 @@ class ObjectIndex {
   /// Buffer-pool statistics (drive the simulated I/O charge).
   virtual IoStats io_stats() const = 0;
   virtual void ResetIoStats() = 0;
-
-  /// Brackets a fork/join stage of concurrent RangeQuery calls. Between
-  /// the two, no mutating call (Insert/Delete/Apply/AdvanceTo) is allowed.
-  /// Defaults are no-ops for indexes without shared mutable read state.
-  virtual void BeginConcurrentReads() {}
-  virtual void EndConcurrentReads() {}
-
-  /// I/O performed by the calling thread since its last call, inside a
-  /// concurrent-reads bracket (zero outside one). Lets parallel per-cell
-  /// refinement attribute I/O per cell without cross-thread pollution.
-  virtual IoStats TakeThreadIoDelta() { return IoStats{}; }
 
   /// Drops the buffer cache (cold-start measurements).
   virtual void DropCaches() = 0;

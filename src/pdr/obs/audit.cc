@@ -187,7 +187,6 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
   CostPrediction pred;
   const DensityHistogram& dh = fr_->histogram();
   const Grid& grid = dh.grid();
-  const std::vector<DensityHistogram::Counter>& slice = dh.Slice(q_t);
   const int m = grid.cells_per_side();
   const double cell_edge = grid.cell_edge();
   const double n_min = static_cast<double>(MinObjectsForDensity(rho, l));
@@ -199,52 +198,49 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
   // classification exactly.
   const int cons_hw = ConservativeHalfWidth(l, cell_edge);
   const int exp_hw = ExpansiveHalfWidth(l, cell_edge);
+  const SummedAreaTable sums(dh.Slice(q_t), m);
 
-  // Inclusive 2-D prefix sums over the slice (same trick as FilterCells).
-  std::vector<double> ps(static_cast<size_t>(m + 1) * (m + 1), 0.0);
+  FilterResult predicted;  // the predicted candidate mask
+  predicted.cells_per_side = m;
+  predicted.classes.assign(static_cast<size_t>(m) * m, CellClass::kReject);
   for (int r = 0; r < m; ++r) {
     for (int c = 0; c < m; ++c) {
-      ps[static_cast<size_t>(r + 1) * (m + 1) + (c + 1)] =
-          static_cast<double>(slice[grid.FlatIndex(c, r)]) +
-          ps[static_cast<size_t>(r) * (m + 1) + (c + 1)] +
-          ps[static_cast<size_t>(r + 1) * (m + 1) + c] -
-          ps[static_cast<size_t>(r) * (m + 1) + c];
-    }
-  }
-  const auto block_sum = [&ps, m](int c, int r, int hw) {
-    const int c0 = std::max(0, c - hw), c1 = std::min(m - 1, c + hw);
-    const int r0 = std::max(0, r - hw), r1 = std::min(m - 1, r + hw);
-    return ps[static_cast<size_t>(r1 + 1) * (m + 1) + (c1 + 1)] -
-           ps[static_cast<size_t>(r0) * (m + 1) + (c1 + 1)] -
-           ps[static_cast<size_t>(r1 + 1) * (m + 1) + c0] +
-           ps[static_cast<size_t>(r0) * (m + 1) + c0];
-  };
-
-  // Coarse index shape: average indexed entries per allocated page. The
-  // +1 page per candidate approximates the root-to-leaf descent.
-  const ObjectIndex& index = fr_->index();
-  const double entries_per_page =
-      index.node_count() > 0
-          ? std::max(1.0, static_cast<double>(index.size()) /
-                              static_cast<double>(index.node_count()))
-          : 1.0;
-  for (int r = 0; r < m; ++r) {
-    for (int c = 0; c < m; ++c) {
-      const double cons = cons_hw >= 0 ? block_sum(c, r, cons_hw) : 0.0;
-      const double expn = block_sum(c, r, exp_hw);
+      const double cons =
+          cons_hw >= 0 ? static_cast<double>(sums.BlockSum(c, r, cons_hw))
+                       : 0.0;
+      const double expn = static_cast<double>(sums.BlockSum(c, r, exp_hw));
       if (cons - options_.z * std::sqrt(cons + 1.0) >= n_min) {
         pred.accepted_cells += 1.0;
       } else if (expn + options_.z * std::sqrt(expn + 1.0) < n_min) {
         pred.rejected_cells += 1.0;
       } else {
         pred.candidate_cells += 1.0;
-        // The refinement range query for a candidate cell fetches the
-        // objects of the cell grown by l/2 — the expansive window is the
-        // histogram's best estimate of that count.
+        // A candidate cell's refinement needs the objects of the cell
+        // grown by l/2 — the expansive window is the histogram's best
+        // estimate of that count.
         pred.objects_fetched += expn;
-        pred.io_reads += 1.0 + expn / entries_per_page;
+        predicted.classes[static_cast<size_t>(grid.FlatIndex(c, r))] =
+            CellClass::kCandidate;
       }
     }
+  }
+
+  // Refinement fetches each 8-connected cluster of candidates with one
+  // range query over the box of its members' windows: one page for the
+  // root-to-leaf descent plus the pages holding the box's objects, their
+  // count estimated over the cluster's cell box grown by the expansive
+  // half-width, at the index's average entries per allocated page.
+  const ObjectIndex& index = fr_->index();
+  const double entries_per_page =
+      index.node_count() > 0
+          ? std::max(1.0, static_cast<double>(index.size()) /
+                              static_cast<double>(index.node_count()))
+          : 1.0;
+  for (const CandidateCluster& cluster : CandidateClusters(predicted)) {
+    const double box = static_cast<double>(
+        sums.BoxSum(cluster.col_lo - exp_hw, cluster.row_lo - exp_hw,
+                    cluster.col_hi + exp_hw, cluster.row_hi + exp_hw));
+    pred.io_reads += 1.0 + box / entries_per_page;
   }
   // Charged at the physical rate, this is the cold-cache bound; the
   // calibration ratio itself compares logical page touches (cache state

@@ -161,7 +161,7 @@ struct CostPrediction {
   double accepted_cells = 0.0;
   double rejected_cells = 0.0;
   double candidate_cells = 0.0;
-  double objects_fetched = 0.0;  ///< candidate-window object estimate
+  double objects_fetched = 0.0;  ///< candidate-window estimate, per cell
   double io_reads = 0.0;  ///< predicted index page touches (logical reads)
   double io_ms = 0.0;     ///< cold-cache bound: io_reads at the I/O rate
 };
@@ -170,9 +170,11 @@ struct CostPrediction {
 /// against measured actuals (see file comment). Model: the filter's own
 /// conservative/expansive block sums classify each cell, with the
 /// candidate band widened by a Poisson slack z·sqrt(count) absorbing the
-/// motion the histogram slice cannot resolve; candidate refinement cost
-/// is the expansive-window object estimate divided by the index's average
-/// entries per page, plus one page per cell for the root-to-leaf descent.
+/// motion the histogram slice cannot resolve. Refinement fetches each
+/// 8-connected cluster of candidate cells with one range query, so its
+/// cost is, per predicted cluster, one page for the root-to-leaf descent
+/// plus the object estimate over the cluster's cell box grown by the
+/// expansive half-width, divided by the index's average entries per page.
 /// The I/O ratio compares logical page touches — cache behavior is
 /// deliberately outside the model, so a hit-rate collapse shows up as
 /// physical cost without moving the ratio.

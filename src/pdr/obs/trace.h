@@ -7,8 +7,8 @@
 //
 //   fr.query
 //   ├─ fr.filter
-//   └─ fr.cell (per candidate)
-//      ├─ tpr.range_query | bx.range_query
+//   ├─ tpr.range_query | bx.range_query (per candidate cluster)
+//   └─ fr.cell (per candidate cell)
 //      └─ sweep.cell
 //
 // without any explicit plumbing between layers. Spans carry wall time

@@ -5,41 +5,16 @@
 // frame (writing it back if dirty), and increments the physical-read
 // counter that the query engines convert into the paper's 10 ms/IO charge.
 //
-// Concurrency model (two modes, switched by the query engines):
-//
-//   * Default: every operation takes the pool's latch exclusively. Behavior
-//     (LRU order, eviction choice, counters) is exactly the classic
-//     single-threaded pool; the latch only makes interleaved use from
-//     multiple threads safe.
-//   * Read-mostly phase (BeginReadPhase/EndReadPhase): used while a query
-//     stage fans read-only lookups out across a thread pool. Hits on
-//     resident pages take the latch *shared* — they pin via an atomic
-//     count and skip the LRU-recency update (recency is unspecified within
-//     a phase) — so concurrent readers proceed without serializing. Misses
-//     upgrade to the exclusive latch; eviction skips pinned frames. Frames
-//     unpinned during the phase are re-linked into the LRU when the phase
-//     ends. Because the LRU list goes stale while hits bypass it, every
-//     access also stamps its frame with a relaxed logical clock, and
-//     in-phase eviction picks the unpinned frame with the oldest stamp —
-//     approximate LRU without a shared list. Mutating calls
-//     (FetchMut/Create/Discard/Clear) are forbidden inside a phase. Every
-//     ref pinned during a phase must be released before EndReadPhase
-//     (fork/join stages guarantee this).
-//
-// I/O accounting during a read-mostly phase is kept per thread: each
-// thread accumulates its reads into a thread-local delta
-// (TakeThreadIoDelta) so parallel per-cell work can attribute I/O without
-// contending on shared counters; the pool-wide totals fold the phase's
-// counts back in, so stats() is consistent in both modes.
+// Every operation takes the pool's latch, so LRU order, eviction choice
+// and counters are exactly those of the classic single-threaded pool; the
+// latch only makes interleaved use from several threads safe.
 
 #ifndef PDR_STORAGE_BUFFER_POOL_H_
 #define PDR_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
-#include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -51,8 +26,7 @@ namespace pdr {
 class BufferPool {
  public:
   /// `capacity_pages` frames; at least the maximum number of concurrently
-  /// pinned pages (tree root-to-leaf path times concurrent readers) are
-  /// required.
+  /// pinned pages (a tree's root-to-leaf path) are required.
   BufferPool(Pager* pager, size_t capacity_pages);
   ~BufferPool();
 
@@ -112,22 +86,6 @@ class BufferPool {
   /// Used by benches to measure cold-cache query cost.
   void Clear();
 
-  /// Enters/leaves the read-mostly concurrent phase (see file comment).
-  void BeginReadPhase();
-  void EndReadPhase();
-  bool in_read_phase() const {
-    return read_phase_.load(std::memory_order_acquire);
-  }
-
-  /// The calling thread's I/O accumulated during the current read-mostly
-  /// phase since the last call (zeroed on return). Zero outside a phase.
-  IoStats TakeThreadIoDelta();
-
-  /// Same as TakeThreadIoDelta but without zeroing — for nested
-  /// instrumentation (per-range-query spans) that must not consume the
-  /// delta the enclosing per-cell span will take.
-  IoStats PeekThreadIoDelta() const;
-
   IoStats stats() const;
   void ResetStats();
   size_t capacity() const { return capacity_; }
@@ -141,42 +99,28 @@ class BufferPool {
   struct Frame {
     PageId id = kInvalidPageId;
     Page page;
-    std::atomic<int> pins{0};
-    // Logical access clock, bumped on every pin. The in-phase evictor
-    // selects its victim by oldest stamp (the LRU list is stale during a
-    // phase: shared-lock hits cannot reorder it).
-    std::atomic<uint64_t> last_access{0};
+    int pins = 0;
     bool dirty = false;
     std::list<size_t>::iterator lru_pos;  // valid only when in_lru
     bool in_lru = false;
   };
 
-  // All *Locked helpers require the exclusive latch.
+  // All *Locked helpers require the latch.
   size_t AcquireFrameLocked();  // free or evicted frame index
   void PinLocked(size_t frame);
   void FlushFrameLocked(Frame& frame);
-  PageRef FetchMissLocked(PageId id);
-  void CountRead(bool physical);  // phase accounting (slot + pool atomics)
 
   void Unpin(size_t frame);
 
   Pager* pager_;
   size_t capacity_;
-  // Frames hold an atomic pin count, so they live in a fixed array rather
-  // than a vector (atomics are not movable).
-  std::unique_ptr<Frame[]> frames_;
+  std::vector<Frame> frames_;
   std::vector<size_t> free_frames_;
   std::list<size_t> lru_;  // front = most recent, back = eviction victim
   std::unordered_map<PageId, size_t> frame_of_;
   IoStats stats_;
 
-  mutable std::shared_mutex mu_;
-  std::atomic<uint64_t> access_clock_{0};
-  std::atomic<bool> read_phase_{false};
-  std::atomic<uint64_t> phase_epoch_{0};  // globally unique per phase
-  std::atomic<int64_t> phase_logical_{0};
-  std::atomic<int64_t> phase_physical_{0};
-  std::atomic<int64_t> phase_writebacks_{0};
+  mutable std::mutex mu_;
 
   friend class PageRef;
 };

@@ -659,12 +659,7 @@ std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQuery(
 std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQueryFrom(
     BufferPool& pool, PageId root, const Rect& window, Tick t) {
   TraceSpan span("tpr.range_query");
-  // Inside a concurrent-reads phase, pool-wide stats mix in other threads'
-  // I/O; attribute this query's span from the calling thread's delta.
-  const bool phased = pool.in_read_phase();
-  const IoStats io_before =
-      span.active() ? (phased ? pool.PeekThreadIoDelta() : pool.stats())
-                    : IoStats{};
+  const IoStats io_before = span.active() ? pool.stats() : IoStats{};
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.tpr.range_queries");
   static Counter& nodes_counter =
@@ -700,8 +695,7 @@ std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQueryFrom(
   }
   nodes_counter.Add(nodes_visited);
   if (span.active()) {
-    const IoStats delta =
-        (phased ? pool.PeekThreadIoDelta() : pool.stats()) - io_before;
+    const IoStats delta = pool.stats() - io_before;
     span.SetAttr("nodes_visited", nodes_visited);
     span.SetAttr("results", static_cast<int64_t>(out.size()));
     span.SetAttr("io_reads", delta.physical_reads);

@@ -103,8 +103,7 @@ class TprTree : public ObjectIndex {
   Tick now() const { return now_; }
 
   /// All objects whose predicted position at tick `t` lies inside the
-  /// closed rectangle `window`. Read-only; safe to call from many threads
-  /// inside a BeginConcurrentReads/EndConcurrentReads bracket.
+  /// closed rectangle `window`.
   std::vector<std::pair<ObjectId, MotionState>> RangeQuery(
       const Rect& window, Tick t) const override;
 
@@ -129,12 +128,6 @@ class TprTree : public ObjectIndex {
   /// Cumulative buffer-pool statistics (reset with ResetIoStats).
   IoStats io_stats() const override { return pool_.stats(); }
   void ResetIoStats() override { pool_.ResetStats(); }
-
-  /// Concurrent-reads bracket: flips the buffer pool into its read-mostly
-  /// mode so parallel RangeQuery calls share the pool latch.
-  void BeginConcurrentReads() override { pool_.BeginReadPhase(); }
-  void EndConcurrentReads() override { pool_.EndReadPhase(); }
-  IoStats TakeThreadIoDelta() override { return pool_.TakeThreadIoDelta(); }
 
   /// Drops the whole buffer cache (cold-start measurement).
   void DropCaches() override { pool_.Clear(); }

@@ -20,6 +20,7 @@
 #include "pdr/core/monitor.h"
 #include "pdr/core/oracle.h"
 #include "pdr/core/pa_engine.h"
+#include "pdr/mobility/generator.h"
 #include "pdr/obs/export.h"
 #include "pdr/obs/report.h"
 
@@ -228,6 +229,45 @@ TEST_F(AuditTest, SlackWidensCandidateBandAndStaysCalibrated) {
     }
   }
   EXPECT_TRUE(saw_ratio);
+}
+
+// The model charges one descent plus the cluster box's objects per
+// predicted cluster, as the grouped fetch reads them. On the benchmark's
+// exact standing workload — a 10k-object trip model, varrho 3, l 30, a
+// 16-page pool against a tree of ~185 pages — the ratio stays inside
+// [1/3, 3] and the drift detector stays quiet.
+TEST_F(AuditTest, IoRatioCalibratedOnTripModel) {
+  REQUIRE_OBS_COMPILED_IN();
+  constexpr int kObjects = 10000;
+  constexpr double kTripExtent = 1000.0;
+  constexpr double kTripL = 30.0;
+  WorkloadConfig config;
+  config.WithExtent(kTripExtent);
+  config.num_objects = kObjects;
+  config.seed = 11;
+  TripSimulator sim(config);
+  FrEngine fr({.extent = kTripExtent,
+               .histogram_side = 100,
+               .horizon = 120,
+               .buffer_pages = 16});
+  for (const UpdateEvent& e : sim.Bootstrap()) fr.Apply(e);
+  CostCalibrator calibrator(&fr);
+  EwmaDriftDetector detector;
+  const double rho = 3.0 * kObjects / (kTripExtent * kTripExtent);
+  for (Tick t = 1; t <= 10; ++t) {
+    fr.AdvanceTo(t);
+    for (const UpdateEvent& e : sim.Advance(t)) fr.Apply(e);
+    const Tick q_t = t + 20;
+    const CostPrediction pred = calibrator.Predict(q_t, rho, kTripL);
+    const auto actual = fr.Query(q_t, rho, kTripL);
+    calibrator.Observe(pred, actual);
+    EXPECT_FALSE(detector.ObserveIoRatio(
+        t, static_cast<double>(actual.cost.io.logical_reads) / pred.io_reads))
+        << "t=" << t;
+  }
+  EXPECT_GE(calibrator.io_ratio_ewma(), 1.0 / 3);
+  EXPECT_LE(calibrator.io_ratio_ewma(), 3.0);
+  EXPECT_FALSE(detector.drifted());
 }
 
 // --- EwmaDriftDetector ------------------------------------------------------

@@ -26,10 +26,10 @@ using test_util::AppendRegion;
 constexpr double kExtent = 400.0;
 constexpr int kObjects = 800;
 
-// Everything except timing and physical reads: region bits, filter
-// counts, sweep counters, logical I/O. (Physical reads depend on which
-// thread's miss evicts which frame, i.e. on scheduling — they are the one
-// counter the determinism guarantee deliberately excludes.)
+// Everything except timing: region bits, filter counts, sweep counters,
+// logical and physical I/O. The fetch runs on the calling thread before the
+// sweeps fan out, so the buffer pool sees the same page sequence at every
+// thread count.
 std::string FrTranscript(const ExecPolicy& exec) {
   FrEngine fr({.extent = kExtent,
                .histogram_side = 20,
@@ -50,7 +50,8 @@ std::string FrTranscript(const ExecPolicy& exec) {
          << r.rejected_cells << " fetched=" << r.objects_fetched
          << " sweep=" << r.sweep.x_strips << '/' << r.sweep.y_sweeps << '/'
          << r.sweep.y_strips << '/' << r.sweep.dense_rects
-         << " logical=" << r.cost.io.logical_reads << " region=";
+         << " logical=" << r.cost.io.logical_reads
+         << " physical=" << r.cost.io.physical_reads << " region=";
       AppendRegion(r.region, &os);
     }
   }

@@ -110,7 +110,8 @@ bool RunFrScenario(const FrScenario& s, int objects, std::string* why) {
     oracle.Apply(e);
   }
 
-  const auto serial = fr.Query(s.q_t, s.rho, s.l);
+  // Cold, like every policy run below, so physical reads compare too.
+  const auto serial = fr.Query(s.q_t, s.rho, s.l, /*cold_cache=*/true);
 
   // Oracle check: same point set (decompositions may differ).
   const Region truth = oracle.DenseRegions(s.q_t, s.rho, s.l);
@@ -123,7 +124,7 @@ bool RunFrScenario(const FrScenario& s, int objects, std::string* why) {
   // Policy check: bit-identical result and counters at every width.
   for (int threads : kPolicies) {
     fr.SetExecPolicy(ExecPolicy::Parallel(threads));
-    const auto par = fr.Query(s.q_t, s.rho, s.l);
+    const auto par = fr.Query(s.q_t, s.rho, s.l, /*cold_cache=*/true);
     std::string detail;
     if (!SameRects(serial.region, par.region, &detail)) {
       *why = "threads=" + std::to_string(threads) + ": " + detail;
@@ -136,7 +137,8 @@ bool RunFrScenario(const FrScenario& s, int objects, std::string* why) {
         par.sweep.dense_rects != serial.sweep.dense_rects ||
         par.sweep.x_strips != serial.sweep.x_strips ||
         par.sweep.y_sweeps != serial.sweep.y_sweeps ||
-        par.cost.io.logical_reads != serial.cost.io.logical_reads) {
+        par.cost.io.logical_reads != serial.cost.io.logical_reads ||
+        par.cost.io.physical_reads != serial.cost.io.physical_reads) {
       *why = "threads=" + std::to_string(threads) + ": counter mismatch";
       return false;
     }
@@ -279,6 +281,10 @@ TEST(DifferentialTest, GenerousDeadlineBitIdenticalToUnboundedAcross40Seeds) {
                       << why;
       }
       EXPECT_EQ(par.cost.io.logical_reads, plain.cost.io.logical_reads)
+          << "seed=" << seed << " threads=" << threads;
+      // The same page sequence from the same pool state: the serial ladder
+      // query left the pool where each later repetition leaves it.
+      EXPECT_EQ(par.cost.io.physical_reads, bounded.cost.io.physical_reads)
           << "seed=" << seed << " threads=" << threads;
     }
   }

@@ -15,6 +15,13 @@
 // window's edges), random overlapping rect sets on a continuous range and
 // on a lattice, and exact FR answers of a seeded 10k-object model at
 // consecutive ticks, queried on 4 threads.
+//
+// FR's grouped fetch (one range query per cluster of adjacent candidate
+// cells, bucketed by grid cell) is checked the same way against the
+// paper's one range query per candidate cell: the same filter, kernel,
+// merge and Coalesced(), so rects, counters and EXPLAIN signatures must
+// agree bit for bit, on both indexes, serial and on 4 threads, and
+// through an MVCC snapshot.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +40,14 @@
 #include "pdr/core/fr_engine.h"
 #include "pdr/histogram/filter.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/mvcc/snapshot_manager.h"
+#include "pdr/mvcc/snapshot_query.h"
+#include "pdr/obs/explain.h"
+#include "pdr/obs/obs.h"
+#include "pdr/obs/registry.h"
 #include "pdr/parallel/exec_policy.h"
+#include "pdr/parallel/thread_pool.h"
+#include "pdr/resilience/executor.h"
 #include "pdr/sweep/plane_sweep.h"
 
 namespace pdr {
@@ -574,6 +588,312 @@ TEST(DifferentialTest, FrQueryAndDeltasMatchReferenceOn10kObjectModel) {
     }
     previous = got.region;
   }
+}
+
+// --- The grouped fetch against per-cell range queries -----------------------
+
+// FR's answer with one range query per candidate cell, as Section 5.3 runs
+// it: the filter, SweepCell, the row-major merge with the accepted cells
+// and Coalesced() — everything but the fetch is the engine's own code.
+struct PerCellAnswer {
+  FilterResult filter;
+  Region region;
+  SweepStats sweep;
+  int64_t objects = 0;
+};
+
+PerCellAnswer PerCellFrAnswer(
+    const Grid& grid, const std::vector<DensityHistogram::Counter>& slice,
+    const ObjectIndex& index, Tick q_t, double rho, double l) {
+  PerCellAnswer out;
+  out.filter = FilterCellsOverSlice(grid, slice, rho, l);
+  const int64_t n_min = MinObjectsForDensity(rho, l);
+  Region region;
+  for (int row = 0; row < grid.cells_per_side(); ++row) {
+    for (int col = 0; col < grid.cells_per_side(); ++col) {
+      const Rect cell = grid.CellRect(col, row);
+      const CellClass cls = out.filter.At(col, row);
+      if (cls == CellClass::kAccept) region.Add(cell);
+      if (cls != CellClass::kCandidate) continue;
+      const auto objects = index.RangeQuery(cell.Expanded(l / 2), q_t);
+      out.objects += static_cast<int64_t>(objects.size());
+      std::vector<Vec2> positions;
+      for (const auto& [id, state] : objects) {
+        (void)id;
+        const Vec2 p = state.PositionAt(q_t);
+        if (grid.InDomain(p)) positions.push_back(p);
+      }
+      for (const Rect& r : SweepCell(cell, positions, l, n_min, &out.sweep)) {
+        region.Add(r);
+      }
+    }
+  }
+  out.region = region.Coalesced();
+  return out;
+}
+
+std::string GroupedFetchMismatch(const FrEngine::QueryResult& got,
+                                 const PerCellAnswer& want) {
+  std::string why = RectsMismatch(got.region.rects(), want.region.rects());
+  if (why.empty()) why = StatsMismatch(got.sweep, want.sweep);
+  if (why.empty() && got.objects_fetched != want.objects) {
+    why = "objects_fetched " + std::to_string(got.objects_fetched) +
+          " vs per-cell " + std::to_string(want.objects);
+  }
+  if (why.empty() && (got.accepted_cells != want.filter.accepted ||
+                      got.rejected_cells != want.filter.rejected ||
+                      got.candidate_cells != want.filter.candidates)) {
+    why = "filter counts differ";
+  }
+  if (why.empty()) {
+    FrEngine::QueryResult ref;
+    ref.accepted_cells = want.filter.accepted;
+    ref.rejected_cells = want.filter.rejected;
+    ref.candidate_cells = want.filter.candidates;
+    ref.objects_fetched = want.objects;
+    ref.sweep = want.sweep;
+    ExplainRecord got_explain, want_explain;
+    StampExact(got, &got_explain);
+    StampExact(ref, &want_explain);
+    if (got_explain.DeterministicSignature() !=
+        want_explain.DeterministicSignature()) {
+      why = "EXPLAIN signatures differ";
+    }
+  }
+  return why;
+}
+
+int64_t RangeQueryCount(IndexKind kind) {
+  return MetricsRegistry::Global()
+      .GetCounter(kind == IndexKind::kTprTree ? "pdr.tpr.range_queries"
+                                              : "pdr.bx.range_queries")
+      .value();
+}
+
+bool CountersLive() { return PdrObs::CompiledIn() && PdrObs::Enabled(); }
+
+constexpr double kFetchEdge = 10.0;  // cell edge of every grouped-fetch grid
+constexpr int kFetchSide = 16;
+constexpr double kFetchExtent = kFetchEdge * kFetchSide;
+constexpr Tick kFetchQt = 4;
+
+// Objects for query width `l`: a clustered cloud on a quarter lattice that
+// spills l/2 past the domain on every side, plus, for every cell, objects
+// exactly on its l/2-window's four closed edges and corners, on its own
+// edges, and coincident copies. Lattice targets move with integer
+// velocities (their position at kFetchQt is exact); off-lattice edge
+// targets (l a hair off a whole width) stand still.
+std::vector<UpdateEvent> FetchObjects(double l, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<UpdateEvent> events;
+  const auto add = [&](Vec2 target) {
+    const bool lattice = std::round(target.x * 4) == target.x * 4 &&
+                         std::round(target.y * 4) == target.y * 4;
+    const auto speed = [&] {
+      return lattice ? static_cast<double>(rng.UniformInt(-1, 1)) : 0.0;
+    };
+    const Vec2 vel{speed(), speed()};
+    UpdateEvent e;
+    e.tick = 0;
+    e.id = static_cast<ObjectId>(events.size() + 1);
+    e.new_state = MotionState{
+        {target.x - vel.x * kFetchQt, target.y - vel.y * kFetchQt}, vel, 0};
+    events.push_back(e);
+  };
+  const auto lattice = [&](double lo, double hi) {
+    return std::round(rng.Uniform(lo, hi) * 4) / 4;
+  };
+  // A lattice coordinate near `c`, at most l/2 outside the domain.
+  const auto near = [&](double c, double spread) {
+    return std::clamp(lattice(c - spread, c + spread), -l / 2,
+                      kFetchExtent + l / 2);
+  };
+  for (int c = 0; c < 8; ++c) {
+    const Vec2 center{lattice(0, kFetchExtent), lattice(0, kFetchExtent)};
+    const double spread = rng.Uniform(5, 30);
+    for (int i = 0; i < 120; ++i) {
+      add({near(center.x, spread), near(center.y, spread)});
+    }
+  }
+  const Grid grid(kFetchExtent, kFetchSide);
+  for (int flat = 0; flat < grid.cell_count(); ++flat) {
+    const Rect cell = grid.CellRect(flat);
+    const Rect w = cell.Expanded(l / 2);
+    const double along_x = lattice(w.x_lo, w.x_hi);
+    const double along_y = lattice(w.y_lo, w.y_hi);
+    add({w.x_lo, along_y});
+    add({w.x_hi, along_y});
+    add({along_x, w.y_lo});
+    add({along_x, w.y_hi});
+    add({rng.Bernoulli(0.5) ? w.x_lo : w.x_hi,
+         rng.Bernoulli(0.5) ? w.y_lo : w.y_hi});
+    add({cell.x_lo, along_y});
+    add({cell.x_hi, cell.y_hi});
+    add(events[static_cast<size_t>(rng.UniformInt(0, events.size() - 1))]
+            .new_state->PositionAt(kFetchQt));
+  }
+  return events;
+}
+
+FrEngine::Options FetchEngineOptions(IndexKind kind) {
+  return {.extent = kFetchExtent,
+          .histogram_side = kFetchSide,
+          .horizon = 16,
+          .buffer_pages = 32,
+          .index = kind,
+          .max_update_interval = 8};
+}
+
+// A counter slice whose filter at l = 2 cells (conservative half-width 0,
+// expansive 1) makes exactly the cells of `mask` candidates: every other
+// cell holds n_min objects and is accepted, every mask cell holds none
+// and sees an accepted neighbour. `blob` instead puts n_min - 1 in every
+// cell: no cell accepts, every cell is a candidate.
+std::vector<DensityHistogram::Counter> LayoutSlice(
+    const std::vector<std::pair<int, int>>& mask, uint32_t n_min, bool blob) {
+  std::vector<DensityHistogram::Counter> slice(kFetchSide * kFetchSide,
+                                               blob ? n_min - 1 : n_min);
+  for (const auto& [col, row] : mask) slice[row * kFetchSide + col] = 0;
+  return slice;
+}
+
+// Every cluster shape the grouped fetch distinguishes, through
+// FrQueryCore with a slice laid out to produce it. l is exactly two cells.
+TEST(DifferentialTest, FrGroupedFetchMatchesPerCellQueriesOnClusterLayouts) {
+  constexpr double kL = 2 * kFetchEdge;
+  constexpr uint32_t kNMin = 6;
+  const double rho = kNMin / (kL * kL);
+  ASSERT_EQ(MinObjectsForDensity(rho, kL), kNMin);
+
+  struct Layout {
+    const char* name;
+    std::vector<std::pair<int, int>> mask;
+    bool blob;
+    size_t clusters;
+  };
+  std::vector<Layout> layouts = {
+      {"lone cells",
+       {{0, 0}, {4, 1}, {9, 2}, {15, 7}, {2, 9}, {7, 12}, {13, 15}},
+       false,
+       7},
+      {"diagonal-only neighbours",
+       {{2, 2}, {3, 3}, {9, 4}, {8, 5}, {12, 11}, {13, 12}, {3, 12}, {4, 13}},
+       false, 4},
+      {"thin diagonal chain", {}, false, 1},
+      {"ring", {}, false, 1},
+      {"one blob spanning the domain", {}, true, 1},
+  };
+  for (int i = 0; i < kFetchSide; ++i) layouts[2].mask.emplace_back(i, i);
+  for (int i = 4; i <= 11; ++i) {
+    for (int j = 4; j <= 11; ++j) {
+      if (i == 4 || i == 11 || j == 4 || j == 11) {
+        layouts[3].mask.emplace_back(i, j);
+      }
+    }
+  }
+
+  ThreadPool workers(4);
+  int64_t dense_rects = 0;
+  for (IndexKind kind : {IndexKind::kTprTree, IndexKind::kBxTree}) {
+    FrEngine fr(FetchEngineOptions(kind));
+    for (const UpdateEvent& e : FetchObjects(kL, 17)) fr.Apply(e);
+    const Grid& grid = fr.histogram().grid();
+    for (const Layout& layout : layouts) {
+      const auto slice = LayoutSlice(layout.mask, kNMin, layout.blob);
+      const PerCellAnswer want =
+          PerCellFrAnswer(grid, slice, fr.index(), kFetchQt, rho, kL);
+      const std::vector<CandidateCluster> clusters =
+          CandidateClusters(want.filter);
+      ASSERT_EQ(clusters.size(), layout.clusters) << layout.name;
+      if (!layout.blob) {
+        ASSERT_EQ(want.filter.candidates,
+                  static_cast<int64_t>(layout.mask.size()))
+            << layout.name;
+      }
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &workers}) {
+        const std::string where =
+            std::string(kind == IndexKind::kTprTree ? "tpr " : "bx ") +
+            layout.name + (pool ? " 4 threads: " : " serial: ");
+        const int64_t queries_before = RangeQueryCount(kind);
+        const FrEngine::QueryResult got =
+            FrQueryCore(grid, slice, fr.index(), pool, 10.0, kFetchQt, rho,
+                        kL, /*cold_cache=*/false, {});
+        if (CountersLive()) {
+          EXPECT_EQ(RangeQueryCount(kind) - queries_before,
+                    static_cast<int64_t>(clusters.size()))
+              << where;
+        }
+        EXPECT_EQ(GroupedFetchMismatch(got, want), "") << where;
+      }
+      dense_rects += want.sweep.dense_rects;
+    }
+  }
+  EXPECT_GT(dense_rects, 0);  // the comparison is not vacuous
+}
+
+// Natural layouts from the engine's own histogram at widths below one
+// cell, a hair either side of two cells and seven cells, on both indexes,
+// serial and on 4 threads (cold, so the I/O must match too), and through
+// an MVCC snapshot.
+TEST(DifferentialTest, FrGroupedFetchMatchesPerCellQueriesAcrossWidths) {
+  int64_t candidates = 0;
+  for (IndexKind kind : {IndexKind::kTprTree, IndexKind::kBxTree}) {
+    for (double l : {5.0, 19.99999999999, 20.00000000001, 70.0}) {
+      mvcc::SnapshotManager snapshots;
+      FrEngine::Options options = FetchEngineOptions(kind);
+      options.snapshots = &snapshots;
+      FrEngine fr(options);
+      for (const UpdateEvent& e : FetchObjects(l, 29)) fr.Apply(e);
+      fr.PrepareCommit();
+      snapshots.Commit({fr.CaptureState(), nullptr});
+      // n_min a little above the mean l-square count, so cells of every
+      // class appear.
+      const double rho = 1.5 * static_cast<double>(fr.index().size()) /
+                         (kFetchExtent * kFetchExtent);
+      const std::string where = std::string(kind == IndexKind::kTprTree
+                                                ? "tpr"
+                                                : "bx") +
+                                " l=" + std::to_string(l) + ": ";
+      const PerCellAnswer want = PerCellFrAnswer(
+          fr.histogram().grid(), fr.histogram().Slice(kFetchQt), fr.index(),
+          kFetchQt, rho, l);
+      const size_t clusters = CandidateClusters(want.filter).size();
+      candidates += want.filter.candidates;
+
+      int64_t queries_before = RangeQueryCount(kind);
+      const FrEngine::QueryResult serial =
+          fr.Query(kFetchQt, rho, l, /*cold_cache=*/true);
+      if (CountersLive()) {
+        EXPECT_EQ(RangeQueryCount(kind) - queries_before,
+                  static_cast<int64_t>(clusters))
+            << where;
+      }
+      EXPECT_EQ(GroupedFetchMismatch(serial, want), "") << where << "serial";
+
+      fr.SetExecPolicy(ExecPolicy::Parallel(4));
+      const FrEngine::QueryResult parallel =
+          fr.Query(kFetchQt, rho, l, /*cold_cache=*/true);
+      EXPECT_EQ(GroupedFetchMismatch(parallel, want), "")
+          << where << "4 threads";
+      EXPECT_EQ(parallel.cost.io.logical_reads, serial.cost.io.logical_reads)
+          << where;
+      EXPECT_EQ(parallel.cost.io.physical_reads,
+                serial.cost.io.physical_reads)
+          << where;
+
+      mvcc::Snapshot snap = snapshots.Pin();
+      queries_before = RangeQueryCount(kind);
+      const FrEngine::QueryResult snapped =
+          mvcc::SnapshotFrQuery(fr, snap, kFetchQt, rho, l);
+      if (CountersLive()) {
+        EXPECT_EQ(RangeQueryCount(kind) - queries_before,
+                  static_cast<int64_t>(clusters))
+            << where;
+      }
+      EXPECT_EQ(GroupedFetchMismatch(snapped, want), "") << where << "mvcc";
+    }
+  }
+  EXPECT_GT(candidates, 0);
 }
 
 }  // namespace

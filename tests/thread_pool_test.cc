@@ -9,9 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "pdr/storage/buffer_pool.h"
-#include "pdr/storage/pager.h"
-
 namespace pdr {
 namespace {
 
@@ -147,32 +144,6 @@ TEST(ThreadPoolTest, StressManySmallTasks) {
   EXPECT_EQ(sum.load(), 199 * 200 / 2 + 500);
 }
 
-// TSan stress for the BufferPool's read-mostly phase: concurrent Fetch
-// of a working set larger than the pool, so hits, misses, evictions, and
-// the loose-frame fallback all interleave.
-TEST(ThreadPoolTest, StressBufferPoolReadPhase) {
-  MemPager pager;
-  std::vector<PageId> ids;
-  for (int i = 0; i < 64; ++i) ids.push_back(pager.Allocate());
-  BufferPool pool(&pager, 32);
-  for (PageId id : ids) pool.Fetch(id);  // warm what fits
-
-  ThreadPool workers(4);
-  const IoStats before = pool.stats();
-  pool.BeginReadPhase();
-  workers.ParallelFor(2000, [&](int64_t i) {
-    auto ref = pool.Fetch(ids[static_cast<size_t>(i) % ids.size()]);
-    ASSERT_TRUE(static_cast<bool>(ref));
-  });
-  pool.EndReadPhase();
-  const IoStats delta = pool.stats() - before;
-  EXPECT_EQ(delta.logical_reads, 2000);
-  EXPECT_GE(delta.physical_reads, 0);
-  // Phase over: pool must behave normally again.
-  pool.Fetch(ids[0]);
-  EXPECT_EQ((pool.stats() - before).logical_reads, 2001);
-}
-
 // --------------------------------------------------------------------------
 // Cooperative cancellation (resilience/deadline.h): runners observe the
 // QueryControl between items, so a cancelled ParallelFor drains without
@@ -269,29 +240,6 @@ TEST(ThreadPoolTest, CancelFromAnotherThreadIsObservedByAllWorkers) {
   }
   controller.join();
   EXPECT_LT(executed.load(), 1 << 20);
-}
-
-TEST(ThreadPoolTest, ThreadIoDeltaAttributesPerThread) {
-  MemPager pager;
-  std::vector<PageId> ids;
-  for (int i = 0; i < 16; ++i) ids.push_back(pager.Allocate());
-  BufferPool pool(&pager, 32);
-
-  pool.BeginReadPhase();
-  ThreadPool workers(2);
-  std::atomic<int64_t> attributed{0};
-  workers.ParallelFor(16, [&](int64_t i) {
-    pool.TakeThreadIoDelta();  // clear this thread's residue
-    auto ref = pool.Fetch(ids[static_cast<size_t>(i)]);
-    ref.Reset();
-    const IoStats mine = pool.TakeThreadIoDelta();
-    EXPECT_EQ(mine.logical_reads, 1);
-    attributed.fetch_add(mine.logical_reads);
-  });
-  pool.EndReadPhase();
-  EXPECT_EQ(attributed.load(), 16);
-  // Outside a phase the thread delta is defined to be empty.
-  EXPECT_EQ(pool.TakeThreadIoDelta().logical_reads, 0);
 }
 
 }  // namespace
