@@ -48,9 +48,11 @@
 // N threads (0 = hardware concurrency); answers are bit-identical to the
 // default serial execution, only wall-clock changes.
 //
-// `--trace FILE` (query, monitor) records the per-query span trees — and a
-// final metrics snapshot — as JSONL ("-" for stdout). See EXPERIMENTS.md
-// for a walkthrough of reading a trace.
+// `--trace FILE` (query, monitor) turns the flight recorder on and, after
+// each query and each evaluated tick, appends the events recorded since
+// the previous drain to FILE in the recorder's JSONL dump format ("-" for
+// stdout), then a final metrics snapshot. See EXPERIMENTS.md for a
+// walkthrough of reading a trace.
 //
 // `--deadline-ms D` (query, monitor) bounds each query's wall time: on
 // overrun the degradation ladder (DESIGN.md §11) downgrades exact FR to PA
@@ -133,36 +135,49 @@ namespace {
 
 using namespace pdr;
 
-// Scoped `--trace FILE` plumbing: installs a JSONL trace sink for the
-// lifetime of the object, then appends a metrics snapshot and reports.
+// Scoped `--trace FILE` plumbing: Drain() appends the flight-recorder
+// events recorded since the previous drain as one dump-format block; the
+// destructor appends a metrics snapshot and reports. The recorder itself
+// is armed by ArmFlightRecorder.
 class TraceOutput {
  public:
-  explicit TraceOutput(const std::string& path) {
+  explicit TraceOutput(const std::string& path) : path_(path) {
     if (path.empty()) return;
-    writer_ = std::make_unique<JsonlWriter>(path);
-    if (!writer_->ok()) {
+    file_ = path == "-" ? stdout : std::fopen(path.c_str(), "a");
+    if (file_ == nullptr) {
       std::fprintf(stderr, "error: cannot open trace file %s\n",
                    path.c_str());
-      writer_.reset();
       return;
     }
-    sink_ = std::make_unique<JsonlTraceSink>(writer_.get());
     PdrObs::SetEnabled(true);
-    PdrObs::SetTraceSink(sink_.get());
+  }
+
+  void Drain() {
+    if (file_ == nullptr) return;
+    const FlightRecorder::DrainResult drained =
+        FlightRecorder::Global().Drain();
+    FlightRecorder::WriteJsonl(file_, drained.events, "trace", 0);
+    lines_ += 1 + static_cast<int64_t>(drained.events.size());
+    overwritten_ += drained.overwritten;
   }
 
   ~TraceOutput() {
-    if (sink_ == nullptr) return;
-    PdrObs::SetTraceSink(nullptr);
-    WriteMetricsJsonl(writer_.get(), MetricsRegistry::Global().TakeSnapshot());
-    std::fprintf(stderr, "trace: wrote %lld JSONL lines to %s\n",
-                 static_cast<long long>(writer_->lines_written()),
-                 writer_->path().c_str());
+    if (file_ == nullptr) return;
+    if (file_ != stdout) std::fclose(file_);
+    JsonlWriter metrics(path_);
+    WriteMetricsJsonl(&metrics, MetricsRegistry::Global().TakeSnapshot());
+    std::fprintf(stderr,
+                 "trace: wrote %lld JSONL lines to %s (%lld events "
+                 "overwritten)\n",
+                 static_cast<long long>(lines_ + metrics.lines_written()),
+                 path_.c_str(), static_cast<long long>(overwritten_));
   }
 
  private:
-  std::unique_ptr<JsonlWriter> writer_;
-  std::unique_ptr<JsonlTraceSink> sink_;
+  std::string path_;
+  std::FILE* file_ = nullptr;
+  int64_t lines_ = 0;
+  int64_t overwritten_ = 0;
 };
 
 // Per-command flag vocabulary: anything else is a typo the tool must
@@ -289,19 +304,24 @@ PaEngine::Options PaOptionsFor(
 }
 
 // --flight-dir=DIR arms the flight recorder with every dump trigger
-// pointing at DIR. Returns false (after reporting) when the directory
-// cannot be created.
+// pointing at DIR; --trace=FILE arms it with rings deep enough that one
+// query's (or tick's) events all survive until the drain after it.
+// Returns false (after reporting) when the directory cannot be created.
 bool ArmFlightRecorder(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "flight-dir", "");
-  if (dir.empty()) return true;
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  const bool trace = !FlagOr(flags, "trace", "").empty();
+  if (dir.empty() && !trace) return true;
+  if (!dir.empty() && mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "error: cannot create %s: %s\n", dir.c_str(),
                  std::strerror(errno));
     return false;
   }
   FlightRecorder::Options options;
-  options.dump_dir = dir;
-  options.triggers = FlightRecorder::kAllTriggers;
+  if (trace) options.ring_capacity = 1 << 16;
+  if (!dir.empty()) {
+    options.dump_dir = dir;
+    options.triggers = FlightRecorder::kAllTriggers;
+  }
   FlightRecorder::Global().Configure(options);
   FlightRecorder::SetEnabled(true);
   return true;
@@ -440,6 +460,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     opts.degrade = FlagOr(flags, "degrade", "1") != "0";
     ResilientExecutor exec(&fr, &pa, opts);
     const TieredResult result = exec.Query(q_t, rho, l);
+    trace.Drain();
     std::printf(
         "tier=%s%s: %zu rects, %.1f sq-miles | %.1f of %.1f ms budget\n",
         AnswerTierName(result.tier), result.timed_out ? " (timed out)" : "",
@@ -473,6 +494,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     opts.enable_exact = false;
     ResilientExecutor exec(&fr, nullptr, opts, &fft);
     const TieredResult result = exec.Query(q_t, rho, l);
+    trace.Drain();
     std::printf(
         "tier=%s (grid %dx%d): %zu rects, %.1f sq-miles certainly dense, "
         "%.1f possibly | %.1f ms\n",
@@ -490,6 +512,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     FrEngine fr(FrOptionsFor(ds, flags));
     ReplayInto(ds, -1, &fr);
     const auto result = fr.Query(q_t, rho, l, /*cold_cache=*/true);
+    trace.Drain();
     std::printf(
         "FR (%s): %zu rects, %.1f sq-miles | %.1f ms CPU + %.0f ms I/O "
         "(%lld reads) | cells a/c/r = %lld/%lld/%lld\n",
@@ -507,6 +530,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &pa);
     const auto result = pa.Query(q_t, rho);
+    trace.Drain();
     std::printf("PA: %zu rects, %.1f sq-miles | %.1f ms CPU, no I/O\n",
                 result.region.size(), result.region.Area(),
                 result.cost.cpu_ms);
@@ -843,6 +867,7 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
     }
     if (now % every == 0) {
       const auto delta = monitor->OnTick(now);
+      trace.Drain();
       std::fprintf(human,
                    "t=%-4d dense %8.1f sq-mi | +%8.1f appeared, -%8.1f "
                    "vanished | %.0f ms",

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build and test the library in the three
+# Full pre-merge check: build and test the library in the four
 # configurations that matter — the plain release-ish default, an ASan+UBSan
 # build (-DPDR_SANITIZE=ON) that exercises the same test suite with
-# instrumentation, and a TSan build (-DPDR_SANITIZE=thread) that runs the
+# instrumentation, a TSan build (-DPDR_SANITIZE=thread) that runs the
 # concurrency-sensitive subset (thread pool, parallel engines, buffer pool,
-# tracing, resilience) — then re-runs the fault-injection suites in the
+# flight-recorder rings, resilience), and an observability-off build
+# (-DPDR_OBS=OFF, the compile-time kill switch) that runs the full suite
+# with metrics and the flight recorder compiled out — then re-runs the fault-injection suites in the
 # ASan tree with the full crash + transient matrix (PDR_CRASH_SWEEP=full),
 # the silent-corruption battery with the full flip-position matrix
 # (PDR_CORRUPT_SWEEP=full),
@@ -18,7 +20,7 @@
 # and the serving benchmark's smoke test (perfbench/smoke_test.py: every
 # workload at a tiny scale, untraced and traced, answer checks included).
 # Uses its own build trees (build-check/, build-asan/, build-tsan/,
-# build-bench/) so it never clobbers an existing build/.
+# build-obsoff/, build-bench/) so it never clobbers an existing build/.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 
@@ -47,7 +49,8 @@ run_config() {
 EXTRA_CTEST_ARGS=("$@")
 
 # Everything that touches the thread pool, the parallel query paths, the
-# buffer pool, or cross-thread tracing. TSan runs ~10x slower,
+# buffer pool, or the flight recorder's rings (concurrent producers,
+# snapshots and drains). TSan runs ~10x slower,
 # so the single-threaded math/geometry suites are skipped there (ASan
 # covers them above). The FFT lanes (FftTest, FftMetamorphicTest) are
 # single-threaded block-sum math and stay out for the same reason;
@@ -58,6 +61,10 @@ tsan_filter='^(ThreadPoolTest|DifferentialTest|DeterminismTest|BufferPoolTest|Pa
 run_config build-check "" -DCMAKE_BUILD_TYPE=Release
 run_config build-asan "" -DCMAKE_BUILD_TYPE=Debug -DPDR_SANITIZE=ON
 run_config build-tsan "${tsan_filter}" -DCMAKE_BUILD_TYPE=Debug -DPDR_SANITIZE=thread
+# The kill switch DESIGN.md §8 promises: every product assertion holds with
+# obs compiled out (tests gate only their obs-output checks on
+# PdrObs::CompiledIn()).
+run_config build-obsoff "" -DCMAKE_BUILD_TYPE=Release -DPDR_OBS=OFF
 
 # Crash matrix: the durability suites once more in the ASan tree, this
 # time sweeping every kill point in every crash mode (the default run

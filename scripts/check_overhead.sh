@@ -3,7 +3,7 @@
 #
 # The recorder's contract is "cheap enough to leave on": a disabled
 # call site is one relaxed load and a branch, and an enabled one is a
-# timestamp plus four relaxed stores into a per-thread ring. This gate
+# timestamp plus six atomic stores into a per-thread ring. This gate
 # holds the end-to-end cost to that contract with bench_micro's probe
 # pair — BM_FrQuery (recorder off) vs BM_FrQueryRecorderOn — a full FR
 # query crossing every instrumented subsystem (filter, per-cell

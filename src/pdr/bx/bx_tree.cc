@@ -163,8 +163,6 @@ std::vector<std::pair<ObjectId, MotionState>> BxTree::RangeQuery(
 std::vector<std::pair<ObjectId, MotionState>> BxTree::RangeQueryFrom(
     const ReadView& view, BufferPool& pool, const Rect& window, Tick t,
     std::atomic<int64_t>* scanned_total) {
-  TraceSpan span("bx.range_query");
-  const IoStats io_before = span.active() ? pool.stats() : IoStats{};
   int64_t scanned = 0;  // local tally, folded into the atomic once at exit
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.bx.range_queries");
@@ -229,14 +227,6 @@ std::vector<std::pair<ObjectId, MotionState>> BxTree::RangeQueryFrom(
     scanned_total->fetch_add(scanned, std::memory_order_relaxed);
   }
   scanned_counter.Add(scanned);
-  if (span.active()) {
-    const IoStats delta = pool.stats() - io_before;
-    span.SetAttr("partitions", p_hi - p_lo + 1);
-    span.SetAttr("scanned", scanned);
-    span.SetAttr("results", static_cast<int64_t>(out.size()));
-    span.SetAttr("io_reads", delta.physical_reads);
-    span.SetAttr("io_logical", delta.logical_reads);
-  }
   return out;
 }
 

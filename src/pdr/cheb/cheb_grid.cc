@@ -262,9 +262,7 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
 
   const auto search_cell = [&](int64_t cell) {
     const Cheb2D& poly = slice[static_cast<size_t>(cell)];
-    // Per-macro-cell branch-and-bound: one span (and one stats scope) per
-    // cell, so traces show where the search effort concentrates.
-    TraceSpan cell_span("pa.cell");
+    // Per-macro-cell branch-and-bound: one stats scope per cell.
     BnbStats& cs = cell_stats[static_cast<size_t>(cell)];
     if (poly.IsZero() && rho > 0) {
       ++cs.pruned_boxes;
@@ -281,13 +279,6 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
     // ring on deep searches; the counters carry totals).
     if (cs.pruned_boxes > 0) {
       FlightRecorder::Record(FrEvent::kBnbPrune, cell, cs.pruned_boxes);
-    }
-    if (cell_span.active()) {
-      cell_span.SetAttr("cell", static_cast<int64_t>(cell));
-      cell_span.SetAttr("nodes_visited", cs.nodes_visited);
-      cell_span.SetAttr("accepted_boxes", cs.accepted_boxes);
-      cell_span.SetAttr("pruned_boxes", cs.pruned_boxes);
-      cell_span.SetAttr("point_evals", cs.point_evals);
     }
   };
 

@@ -13,6 +13,7 @@
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
+#include "pdr/storage/disk_pager.h"
 #include "pdr/storage/serde.h"
 #include "pdr/tpr/tpr_tree.h"
 
@@ -98,10 +99,18 @@ ClusterFetch FetchCluster(const Grid& grid, const ObjectIndex& index,
   fetch.row_lo = grid.RowOf(window.y_lo);
   fetch.cols = grid.ColOf(window.x_hi) - fetch.col_lo + 1;
   const int rows = grid.RowOf(window.y_hi) - fetch.row_lo + 1;
+  const bool record = FlightRecorder::Enabled();
+  const IoStats io_before = record ? index.io_stats() : IoStats{};
   std::vector<Vec2> unsorted;
   for (const auto& [id, state] : index.RangeQuery(window, q_t)) {
     (void)id;
     unsorted.push_back(state.PositionAt(q_t));
+  }
+  if (record) {
+    const IoStats io = index.io_stats() - io_before;
+    FlightRecorder::Record(
+        FrEvent::kRangeQuery, static_cast<int64_t>(unsorted.size()),
+        FlightRecorder::Pack(io.logical_reads, io.physical_reads));
   }
   const auto bucket = [&](Vec2 p) {
     const int col = grid.ColOf(p.x) - fetch.col_lo;
@@ -159,8 +168,15 @@ FrEngine::~FrEngine() = default;
 
 void FrEngine::Checkpoint() {
   if (!index_->durable()) return;
-  FlightRecorder::Record(FrEvent::kCheckpoint,
-                         static_cast<int64_t>(histogram_.now()));
+  if (FlightRecorder::Enabled()) {
+    // Recorded before the WAL appends, so a crash dump still shows the
+    // checkpoint that crashed; the flush turns the pool's dirty frames
+    // into the pager's dirty set, which is what this checkpoint logs.
+    index_->FlushBufferPool();
+    FlightRecorder::Record(
+        FrEvent::kCheckpoint, static_cast<int64_t>(histogram_.now()),
+        static_cast<int64_t>(index_->disk()->dirty_page_count()));
+  }
   std::string meta;
   PutPod(&meta, kEngineMetaMagic);
   PutPod(&meta, kEngineMetaVersion);
@@ -242,11 +258,6 @@ FrEngine::QueryResult FrQueryCore(
   if (ctl.active()) ctl.Check();
   if (cold_cache) index.DropCaches();
   const IoStats io_before = index.io_stats();
-
-  TraceSpan span("fr.query");
-  span.SetAttr("q_t", static_cast<int64_t>(q_t));
-  span.SetAttr("rho", rho);
-  span.SetAttr("l", l);
   Timer timer;
 
   FrEngine::QueryResult result;
@@ -268,13 +279,9 @@ FrEngine::QueryResult FrQueryCore(
   // --- filtering step ------------------------------------------------------
   FilterResult filter;
   {
-    TraceSpan filter_span("fr.filter");
     Timer filter_timer;
     filter = FilterCellsOverSlice(grid, slice, rho, l);
     result.filter_ms = filter_timer.ElapsedMillis();
-    filter_span.SetAttr("accepted", filter.accepted);
-    filter_span.SetAttr("rejected", filter.rejected);
-    filter_span.SetAttr("candidates", filter.candidates);
     FlightRecorder::Record(
         FrEvent::kFilter,
         FlightRecorder::Pack(filter.accepted, filter.rejected),
@@ -337,7 +344,6 @@ FrEngine::QueryResult FrQueryCore(
     if (control != nullptr) control->Check();
     const Candidate c = candidates[static_cast<size_t>(i)];
     CellOut& out = outs[static_cast<size_t>(i)];
-    TraceSpan cell_span("fr.cell");
     FlightRecorder::Record(FrEvent::kCellBegin,
                            FlightRecorder::Pack(c.col, c.row));
     // The cell's own range query would return exactly the fetched objects
@@ -364,12 +370,6 @@ FrEngine::QueryResult FrQueryCore(
     FlightRecorder::Record(
         FrEvent::kCellEnd, FlightRecorder::Pack(c.col, c.row),
         FlightRecorder::Pack(out.objects, out.sweep.dense_rects));
-    if (cell_span.active()) {
-      cell_span.SetAttr("col", c.col);
-      cell_span.SetAttr("row", c.row);
-      cell_span.SetAttr("objects", out.objects);
-      cell_span.SetAttr("dense_rects", out.sweep.dense_rects);
-    }
   };
 
   if (pool != nullptr && candidates.size() > 1) {
@@ -415,17 +415,6 @@ FrEngine::QueryResult FrQueryCore(
   metrics.query_ms.Observe(result.cost.TotalMs());
   metrics.refine_objects.Observe(
       static_cast<double>(result.objects_fetched));
-
-  span.SetAttr("cpu_ms", result.cost.cpu_ms);
-  span.SetAttr("io_ms", result.cost.io_ms);
-  span.SetAttr("io_reads", result.cost.io.physical_reads);
-  span.SetAttr("io_logical", result.cost.io.logical_reads);
-  span.SetAttr("io_writebacks", result.cost.io.writebacks);
-  span.SetAttr("accepted", result.accepted_cells);
-  span.SetAttr("rejected", result.rejected_cells);
-  span.SetAttr("candidates", result.candidate_cells);
-  span.SetAttr("objects_fetched", result.objects_fetched);
-  span.SetAttr("dense_rects", result.sweep.dense_rects);
   return result;
 }
 
@@ -434,9 +423,6 @@ FrEngine::QueryResult FrEngine::QueryInterval(Tick q_lo, Tick q_hi,
                                               const QueryControl& ctl) {
   ValidateQt(q_lo);
   ValidateQt(q_hi);
-  TraceSpan span("fr.query_interval");
-  span.SetAttr("q_lo", static_cast<int64_t>(q_lo));
-  span.SetAttr("q_hi", static_cast<int64_t>(q_hi));
   QueryResult total;
   Region all;
   for (Tick t = q_lo; t <= q_hi; ++t) {
@@ -450,22 +436,18 @@ FrEngine::QueryResult FrEngine::QueryInterval(Tick q_lo, Tick q_hi,
     total.sweep += snap.sweep;
   }
   total.region = all.Coalesced();
-  span.SetAttr("io_reads", total.cost.io.physical_reads);
-  span.SetAttr("cpu_ms", total.cost.cpu_ms);
   return total;
 }
 
 FrEngine::DhResult FrEngine::DhOnlyQuery(Tick q_t, double rho, double l,
                                          bool optimistic) {
   ValidateQt(q_t);
-  TraceSpan span("fr.dh_query");
   Timer timer;
   DhResult result;
   result.filter = FilterCells(histogram_, q_t, rho, l);
   result.region =
       CellsAsRegion(result.filter, histogram_.grid(), optimistic);
   result.cpu_ms = timer.ElapsedMillis();
-  span.SetAttr("cpu_ms", result.cpu_ms);
   return result;
 }
 

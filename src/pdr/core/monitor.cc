@@ -59,12 +59,17 @@ ThreadPool* PdrMonitor::PoolForTick() {
 }
 
 PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
-  TraceSpan span("monitor.tick");
   Timer timer;
   Delta delta;
   delta.now = now;
   delta.q_t = now + options_.lookahead;
   delta.budget_ms = options_.resilience.deadline_ms;
+  FlightRecorder::Record(FrEvent::kTickBegin, now, delta.q_t);
+  const auto record_tick_end = [&delta] {
+    FlightRecorder::Record(FrEvent::kTickEnd,
+                           static_cast<int64_t>(delta.tier),
+                           static_cast<int64_t>(delta.current.size()));
+  };
 
   // Admission control first: when too many evaluations are already in
   // flight (shared controller across monitors/threads), shed this tick
@@ -96,10 +101,7 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
       if (slo_ != nullptr) {
         slo_->OnSample(delta.elapsed_ms, delta.tier, /*shed=*/true);
       }
-      if (span.active()) {
-        span.SetAttr("now", static_cast<int64_t>(now));
-        span.SetAttr("tier", static_cast<int64_t>(delta.tier));
-      }
+      record_tick_end();
       if (recorder_ != nullptr) recorder_->RecordTick(delta);
       return delta;
     }
@@ -228,20 +230,7 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
   }
   if (scrub_hook_) scrub_hook_();
 
-  if (span.active()) {
-    span.SetAttr("now", static_cast<int64_t>(now));
-    span.SetAttr("q_t", static_cast<int64_t>(delta.q_t));
-    span.SetAttr("current_area", delta.current.Area());
-    span.SetAttr("appeared_area", delta.appeared.Area());
-    span.SetAttr("vanished_area", delta.vanished.Area());
-    span.SetAttr("io_reads", delta.cost.io.physical_reads);
-    span.SetAttr("tier", static_cast<int64_t>(delta.tier));
-    span.SetAttr("elapsed_ms", delta.elapsed_ms);
-    if (delta.audit) {
-      span.SetAttr("audit_precision", delta.audit->precision);
-      span.SetAttr("audit_recall", delta.audit->recall);
-    }
-  }
+  record_tick_end();
   if (recorder_ != nullptr) recorder_->RecordTick(delta);
   return delta;
 }
@@ -252,8 +241,6 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
     throw std::logic_error(
         "PdrMonitor::QueryBatch requires FR-primary mode");
   }
-  TraceSpan span("monitor.batch");
-  Timer timer;
   std::vector<TieredResult> out(specs.size());
   // Evaluate in q_t groups so every spec sharing a target tick runs
   // back-to-back: with an FFT rung attached, the group's first query
@@ -293,12 +280,6 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
       MetricsRegistry::Global().GetCounter("pdr.monitor.batch_queries");
   batches.Increment();
   batch_queries.Add(static_cast<int64_t>(specs.size()));
-  if (span.active()) {
-    span.SetAttr("now", static_cast<int64_t>(now));
-    span.SetAttr("queries", static_cast<int64_t>(specs.size()));
-    span.SetAttr("q_t_groups", static_cast<int64_t>(by_qt.size()));
-    span.SetAttr("elapsed_ms", timer.ElapsedMillis());
-  }
   return out;
 }
 

@@ -1,25 +1,19 @@
 #include "pdr/core/pa_engine.h"
 
+#include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "pdr/core/fr_snapshot_state.h"
 #include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/mvcc/versioned_cheb.h"
+#include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
 
 namespace pdr {
 namespace {
-
-void FinishPaSpan(TraceSpan* span, const PaEngine::QueryResult& result) {
-  if (!span->active()) return;
-  span->SetAttr("cpu_ms", result.cost.cpu_ms);
-  span->SetAttr("nodes_visited", result.bnb.nodes_visited);
-  span->SetAttr("accepted_boxes", result.bnb.accepted_boxes);
-  span->SetAttr("pruned_boxes", result.bnb.pruned_boxes);
-  span->SetAttr("point_evals", result.bnb.point_evals);
-}
 
 // The ChebGrid constructor checks the model's own options; the
 // branch-and-bound leaf resolution is the engine's.
@@ -82,15 +76,25 @@ PaEngine::QueryResult PaEngine::Query(Tick q_t, double rho,
   ValidateQt(q_t);
   // Entry cancellation point (see FrEngine::Query).
   if (ctl.active()) ctl.Check();
-  TraceSpan span("pa.query");
-  span.SetAttr("q_t", static_cast<int64_t>(q_t));
-  span.SetAttr("rho", rho);
   Timer timer;
+  // Flight-recorder attribution, as in FrQueryCore: reuse the caller's
+  // query id or mint a fresh one.
+  std::optional<FlightRecorder::QueryScope> fr_scope;
+  if (FlightRecorder::Enabled()) {
+    if (FlightRecorder::CurrentQueryId() == 0) {
+      fr_scope.emplace(FlightRecorder::NextQueryId());
+    }
+    int64_t rho_bits = 0;
+    std::memcpy(&rho_bits, &rho, sizeof(rho_bits));
+    FlightRecorder::Record(FrEvent::kQueryBegin, q_t, rho_bits);
+  }
   QueryResult result;
   result.region =
       model_.QueryDense(q_t, rho, options_.eval_grid, &result.bnb,
                         PoolForQuery(), ctl.active() ? &ctl : nullptr);
   result.cost.cpu_ms = timer.ElapsedMillis();
+  FlightRecorder::Record(FrEvent::kQueryEnd, 0,
+                         static_cast<int64_t>(result.region.size()));
 
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.pa.queries");
@@ -98,19 +102,16 @@ PaEngine::QueryResult PaEngine::Query(Tick q_t, double rho,
       MetricsRegistry::Global().GetHistogram("pdr.pa.query_ms");
   queries.Increment();
   query_ms.Observe(result.cost.cpu_ms);
-  FinishPaSpan(&span, result);
   return result;
 }
 
 PaEngine::QueryResult PaEngine::QueryGridScan(Tick q_t, double rho) {
   ValidateQt(q_t);
-  TraceSpan span("pa.query_grid_scan");
   Timer timer;
   QueryResult result;
   result.region =
       model_.QueryDenseGridScan(q_t, rho, options_.eval_grid, &result.bnb);
   result.cost.cpu_ms = timer.ElapsedMillis();
-  FinishPaSpan(&span, result);
   return result;
 }
 
@@ -119,9 +120,6 @@ PaEngine::QueryResult PaEngine::QueryInterval(Tick q_lo, Tick q_hi,
                                               const QueryControl& ctl) {
   ValidateQt(q_lo);
   ValidateQt(q_hi);
-  TraceSpan span("pa.query_interval");
-  span.SetAttr("q_lo", static_cast<int64_t>(q_lo));
-  span.SetAttr("q_hi", static_cast<int64_t>(q_hi));
   QueryResult total;
   Region all;
   for (Tick t = q_lo; t <= q_hi; ++t) {
@@ -131,7 +129,6 @@ PaEngine::QueryResult PaEngine::QueryInterval(Tick q_lo, Tick q_hi,
     total.bnb += snap.bnb;
   }
   total.region = all.Coalesced();
-  FinishPaSpan(&span, total);
   return total;
 }
 

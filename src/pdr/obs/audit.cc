@@ -81,7 +81,6 @@ std::optional<AuditVerdict> ShadowAuditor::MaybeAudit(
 
 AuditVerdict ShadowAuditor::Audit(Tick q_t, double rho,
                                   const Region& pa_region) {
-  TraceSpan span("audit.shadow");
   AuditVerdict verdict;
   verdict.q_t = q_t;
   verdict.rho = rho;
@@ -118,18 +117,6 @@ AuditVerdict ShadowAuditor::Audit(Tick q_t, double rho,
 
   ++audited_;
   Publish(verdict);
-
-  if (span.active()) {
-    span.SetAttr("q_t", static_cast<int64_t>(q_t));
-    span.SetAttr("rho", rho);
-    span.SetAttr("precision", verdict.precision);
-    span.SetAttr("recall", verdict.recall);
-    span.SetAttr("false_accept_frac", verdict.false_accept_frac);
-    span.SetAttr("false_reject_frac", verdict.false_reject_frac);
-    span.SetAttr("max_density_err", verdict.max_density_err);
-    span.SetAttr("fr_replay_ms", verdict.fr_replay_ms);
-    span.SetAttr("fr_io_reads", verdict.fr_io_reads);
-  }
   return verdict;
 }
 

@@ -13,7 +13,7 @@
 //    fractions, Section 7.2's r_fp / r_fn), and the worst pointwise
 //    density error over the disagreement region is probed against the
 //    ground-truth oracle. Verdicts are published as registry
-//    histograms/gauges and trace-span attributes.
+//    histograms/gauges.
 //  * CostCalibrator — a closed-form cost model of the FR query path
 //    (candidate cells, fetched objects, index page reads), predicted from
 //    the density histogram plus coarse index shape only, compared after

@@ -1,7 +1,7 @@
 // Deterministic clock seam for observability timestamps.
 //
-// Every obs-layer timestamp (flight-recorder micro-events, trace spans)
-// flows through ObsClock::NowNs() instead of touching steady_clock
+// Every obs-layer timestamp (flight-recorder micro-events) flows
+// through ObsClock::NowNs() instead of touching steady_clock
 // directly. By default that IS the steady clock, so production behavior is
 // unchanged; tests install a LogicalClock — a logical tick counter scaled
 // by a fixed step plus a monotonic offset — and every dump becomes

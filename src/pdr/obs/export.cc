@@ -29,45 +29,6 @@ void AppendQuoted(std::string_view s, std::string* out) {
   out->push_back('"');
 }
 
-void AppendSpan(const SpanNode& span, std::string* out) {
-  out->append("{\"name\":");
-  AppendQuoted(span.name, out);
-  out->append(",\"start_ns\":");
-  AppendInt(span.start_ns, out);
-  out->append(",\"dur_ms\":");
-  AppendDouble(span.duration_ms(), out);
-  out->append(",\"tid\":");
-  AppendInt(span.thread_id, out);
-  if (!span.int_attrs.empty() || !span.num_attrs.empty()) {
-    out->append(",\"attrs\":{");
-    bool first = true;
-    for (const auto& [k, v] : span.int_attrs) {
-      if (!first) out->push_back(',');
-      first = false;
-      AppendQuoted(k, out);
-      out->push_back(':');
-      AppendInt(v, out);
-    }
-    for (const auto& [k, v] : span.num_attrs) {
-      if (!first) out->push_back(',');
-      first = false;
-      AppendQuoted(k, out);
-      out->push_back(':');
-      AppendDouble(v, out);
-    }
-    out->push_back('}');
-  }
-  if (!span.children.empty()) {
-    out->append(",\"children\":[");
-    for (size_t i = 0; i < span.children.size(); ++i) {
-      if (i > 0) out->push_back(',');
-      AppendSpan(*span.children[i], out);
-    }
-    out->push_back(']');
-  }
-  out->push_back('}');
-}
-
 }  // namespace
 
 std::string JsonEscape(std::string_view s) {
@@ -103,19 +64,6 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string SpanToJson(const SpanNode& span) {
-  std::string out;
-  AppendSpan(span, &out);
-  return out;
-}
-
-std::string TraceJsonLine(const SpanNode& root) {
-  std::string out = "{\"type\":\"trace\",\"span\":";
-  AppendSpan(root, &out);
-  out.push_back('}');
-  return out;
-}
-
 JsonlWriter::JsonlWriter(const std::string& path) : path_(path) {
   if (path == "-") {
     file_ = stdout;
@@ -144,12 +92,6 @@ void JsonlWriter::Flush() {
   if (file_ == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   std::fflush(file_);
-}
-
-void JsonlTraceSink::OnTrace(std::unique_ptr<SpanNode> root) {
-  if (writer_ != nullptr && root != nullptr) {
-    writer_->WriteLine(TraceJsonLine(*root));
-  }
 }
 
 void WriteMetricsJsonl(JsonlWriter* writer,
@@ -382,35 +324,6 @@ void WriteMetricsPrometheus(std::FILE* out,
     std::snprintf(buf, sizeof(buf), "%" PRId64, h.stat.count());
     PromSeries(out, base + "_count", labels, nullptr, buf);
   }
-}
-
-namespace {
-
-void DumpSpanIndented(std::FILE* out, const SpanNode& span, int depth,
-                      int64_t parent_tid) {
-  std::fprintf(out, "%*s%s  %.3f ms", depth * 2, "", span.name.c_str(),
-               span.duration_ms());
-  // Cross-thread children (parallel query stages) are the only case where
-  // the id adds signal; same-thread subtrees keep the old compact form.
-  if (span.thread_id != parent_tid) {
-    std::fprintf(out, "  tid=%" PRId64, span.thread_id);
-  }
-  for (const auto& [k, v] : span.int_attrs) {
-    std::fprintf(out, "  %s=%" PRId64, k.c_str(), v);
-  }
-  for (const auto& [k, v] : span.num_attrs) {
-    std::fprintf(out, "  %s=%.4g", k.c_str(), v);
-  }
-  std::fprintf(out, "\n");
-  for (const auto& child : span.children) {
-    DumpSpanIndented(out, *child, depth + 1, span.thread_id);
-  }
-}
-
-}  // namespace
-
-void DumpSpanTree(std::FILE* out, const SpanNode& root) {
-  DumpSpanIndented(out, root, 0, root.thread_id);
 }
 
 }  // namespace pdr

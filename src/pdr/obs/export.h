@@ -1,19 +1,14 @@
-// Exporters for the obs layer: a JSONL (one JSON object per line) sink
-// for traces and metrics, plus human-readable dumps.
+// Exporters for the obs layer's metrics: a JSONL (one JSON object per
+// line) writer, a human-readable dump, and the Prometheus text format.
+// (Flight-recorder events serialize through FlightRecorder::WriteJsonl.)
 //
 // JSONL schema (stable; consumed by scripts and the bench tooling):
 //
-//   {"type":"trace","span":{"name":...,"start_ns":N,"dur_ms":F,
-//                           "attrs":{...},"children":[...]}}
 //   {"type":"counter","name":...,"value":N}
 //   {"type":"gauge","name":...,"value":F}
 //   {"type":"histogram","name":...,"count":N,"mean":F,"min":F,"max":F,
 //    "stddev":F,"buckets":[{"ge":F,"count":N},...]}   (nonzero buckets)
 //   {"type":"series","bench":...,"values":{col:F,...}} (bench_util rows)
-//
-// Span attributes merge the int and double attribute lists into one JSON
-// object; ints are emitted without a decimal point so exact I/O counts
-// survive the round-trip.
 
 #ifndef PDR_OBS_EXPORT_H_
 #define PDR_OBS_EXPORT_H_
@@ -24,18 +19,11 @@
 #include <string_view>
 
 #include "pdr/obs/registry.h"
-#include "pdr/obs/trace.h"
 
 namespace pdr {
 
 /// `s` with JSON string escapes applied (no surrounding quotes).
 std::string JsonEscape(std::string_view s);
-
-/// The nested JSON object for a span tree (no trailing newline).
-std::string SpanToJson(const SpanNode& span);
-
-/// The full `{"type":"trace",...}` line for a finished root span.
-std::string TraceJsonLine(const SpanNode& root);
 
 /// Thread-safe line-oriented writer over a stdio FILE.
 class JsonlWriter {
@@ -63,18 +51,6 @@ class JsonlWriter {
   int64_t lines_ = 0;
 };
 
-/// TraceSink that writes every finished trace as one JSONL line.
-class JsonlTraceSink : public TraceSink {
- public:
-  /// Writes through `writer` (not owned; must outlive the sink).
-  explicit JsonlTraceSink(JsonlWriter* writer) : writer_(writer) {}
-
-  void OnTrace(std::unique_ptr<SpanNode> root) override;
-
- private:
-  JsonlWriter* writer_;
-};
-
 /// Writes one JSONL line per metric in `snap`.
 void WriteMetricsJsonl(JsonlWriter* writer,
                        const MetricsRegistry::Snapshot& snap);
@@ -91,9 +67,6 @@ void DumpMetrics(std::FILE* out, const MetricsRegistry::Snapshot& snap);
 /// series + _sum/_count). One # TYPE line per metric family.
 void WriteMetricsPrometheus(std::FILE* out,
                             const MetricsRegistry::Snapshot& snap);
-
-/// Human-readable indented span tree.
-void DumpSpanTree(std::FILE* out, const SpanNode& root);
 
 }  // namespace pdr
 

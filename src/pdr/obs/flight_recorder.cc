@@ -54,12 +54,16 @@ const char* FrEventName(FrEvent kind) {
     case FrEvent::kCheckpoint: return "checkpoint";
     case FrEvent::kFftField: return "fft_field";
     case FrEvent::kCorruption: return "corruption";
+    case FrEvent::kRangeQuery: return "range_query";
+    case FrEvent::kTickBegin: return "tick_begin";
+    case FrEvent::kTickEnd: return "tick_end";
   }
   return "unknown";
 }
 
-// One thread's event ring. The owner thread is the only writer; snapshot
-// readers copy slots concurrently and validate against the head afterward.
+// One thread's event ring. The owner thread is the only writer; readers
+// copy slots concurrently and validate against the overwrite announcement
+// afterward.
 struct FlightRecorder::State {
   struct Ring {
     explicit Ring(size_t capacity, uint16_t tid)
@@ -72,10 +76,63 @@ struct FlightRecorder::State {
       }
     }
 
+    // Appends the intact events with index >= `from` to `out` and returns
+    // the head the copy ran up to. `*lost` (when non-null) counts the
+    // events in [from, head) not returned: overwritten before or during
+    // the copy. Snapshot() and Drain() share this loop.
+    uint64_t CopyIntact(uint64_t from, std::vector<MicroEvent>* out,
+                        int64_t* lost) const {
+      const uint64_t h = head.load(std::memory_order_acquire);
+      const uint64_t oldest = h > capacity ? h - capacity : 0;
+      const uint64_t first = std::max(from, oldest);
+      struct Raw {
+        uint64_t index;
+        uint64_t w[kWordsPerSlot];
+      };
+      std::vector<Raw> raw;
+      raw.reserve(h > first ? h - first : 0);
+      for (uint64_t i = first; i < h; ++i) {
+        Raw r;
+        r.index = i;
+        const size_t base = (i & mask) * kWordsPerSlot;
+        for (size_t w = 0; w < kWordsPerSlot; ++w) {
+          r.w[w] = words[base + w].load(std::memory_order_relaxed);
+        }
+        raw.push_back(r);
+      }
+      // Seqlock validation: a slot the producer announced overwriting
+      // during the copy could hold a torn mix of old and new words — drop
+      // it.
+      std::atomic_thread_fence(std::memory_order_acquire);
+      const uint64_t announced = writing.load(std::memory_order_relaxed);
+      const uint64_t safe_first =
+          announced > capacity ? announced - capacity : 0;
+      const size_t before = out->size();
+      for (const Raw& r : raw) {
+        if (r.index < safe_first) continue;
+        if ((r.w[1] & 0xff) != 1) continue;  // never written
+        MicroEvent e;
+        e.ts_ns = static_cast<int64_t>(r.w[0]);
+        e.query_id = static_cast<uint32_t>(r.w[1] >> 32);
+        e.tid = static_cast<uint16_t>((r.w[1] >> 16) & 0xffff);
+        e.kind = static_cast<FrEvent>((r.w[1] >> 8) & 0xff);
+        e.a = static_cast<int64_t>(r.w[2]);
+        e.b = static_cast<int64_t>(r.w[3]);
+        out->push_back(e);
+      }
+      if (lost != nullptr && h > from) {
+        *lost += static_cast<int64_t>(h - from) -
+                 static_cast<int64_t>(out->size() - before);
+      }
+      return h;
+    }
+
     const size_t capacity;
     const size_t mask;
     const uint16_t tid;
-    std::atomic<uint64_t> head{0};  // total events ever written
+    std::atomic<uint64_t> head{0};     // events published
+    std::atomic<uint64_t> writing{0};  // events whose slot writes began
+    uint64_t cursor = 0;               // Drain()'s next index; drain_mu
     std::unique_ptr<std::atomic<uint64_t>[]> words;
   };
 
@@ -102,7 +159,18 @@ struct FlightRecorder::State {
     return tls.ring;
   }
 
+  // The current rings. They are append-only and never freed before a
+  // generation bump, which also clears this list.
+  std::vector<Ring*> RingList() {
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<Ring*> out;
+    out.reserve(rings.size());
+    for (const auto& r : rings) out.push_back(r.get());
+    return out;
+  }
+
   std::mutex mu;  // guards rings vector growth, options, and dump files
+  std::mutex drain_mu;  // serializes Drain() and guards Ring::cursor
   std::vector<std::unique_ptr<Ring>> rings;
   Options options;
   DumpHook dump_hook;  // guarded by mu; copied out before invocation
@@ -168,6 +236,10 @@ void FlightRecorder::Reset() {
 void FlightRecorder::RecordImpl(FrEvent kind, int64_t a, int64_t b) {
   State::Ring* ring = state_->ThreadRing();
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
+  // Announce the overwrite before touching the slot, so a reader that
+  // copied it concurrently sees the announcement and discards the copy.
+  ring->writing.store(head + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   const size_t base = (head & ring->mask) * kWordsPerSlot;
   ring->words[base + 0].store(static_cast<uint64_t>(ObsClock::NowNs()),
                               std::memory_order_relaxed);
@@ -178,7 +250,7 @@ void FlightRecorder::RecordImpl(FrEvent kind, int64_t a, int64_t b) {
   ring->words[base + 3].store(static_cast<uint64_t>(b),
                               std::memory_order_relaxed);
   // Publish: a reader that observes head > slot index also observes the
-  // slot words (or detects the overwrite via the head re-read).
+  // slot words (or detects a later overwrite via the announcement).
   ring->head.store(head + 1, std::memory_order_release);
 }
 
@@ -197,59 +269,36 @@ FlightRecorder::QueryScope::QueryScope(uint32_t query_id) : prev_(tls_query_id) 
 
 FlightRecorder::QueryScope::~QueryScope() { tls_query_id = prev_; }
 
-std::vector<MicroEvent> FlightRecorder::Snapshot() const {
-  // Copy the ring pointer list under the lock; rings are append-only and
-  // never freed before a generation bump, which also clears this list.
-  std::vector<State::Ring*> rings;
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    rings.reserve(state_->rings.size());
-    for (const auto& r : state_->rings) rings.push_back(r.get());
-  }
+namespace {
 
-  std::vector<MicroEvent> events;
-  for (State::Ring* ring : rings) {
-    const uint64_t h1 = ring->head.load(std::memory_order_acquire);
-    const uint64_t count = std::min<uint64_t>(h1, ring->capacity);
-    const uint64_t first = h1 - count;
-    struct Raw {
-      uint64_t index;
-      uint64_t w[kWordsPerSlot];
-    };
-    std::vector<Raw> raw;
-    raw.reserve(count);
-    for (uint64_t i = first; i < h1; ++i) {
-      Raw r;
-      r.index = i;
-      const size_t base = (i & ring->mask) * kWordsPerSlot;
-      for (size_t w = 0; w < kWordsPerSlot; ++w) {
-        r.w[w] = ring->words[base + w].load(std::memory_order_relaxed);
-      }
-      raw.push_back(r);
-    }
-    // Seqlock validation: any slot the producer may have advanced past
-    // during the copy could hold a torn mix of old and new words — drop it.
-    const uint64_t h2 = ring->head.load(std::memory_order_acquire);
-    const uint64_t safe_first = h2 > ring->capacity ? h2 - ring->capacity : 0;
-    for (const Raw& r : raw) {
-      if (r.index < safe_first) continue;
-      if ((r.w[1] & 0xff) != 1) continue;  // never written
-      MicroEvent e;
-      e.ts_ns = static_cast<int64_t>(r.w[0]);
-      e.query_id = static_cast<uint32_t>(r.w[1] >> 32);
-      e.tid = static_cast<uint16_t>((r.w[1] >> 16) & 0xffff);
-      e.kind = static_cast<FrEvent>((r.w[1] >> 8) & 0xff);
-      e.a = static_cast<int64_t>(r.w[2]);
-      e.b = static_cast<int64_t>(r.w[3]);
-      events.push_back(e);
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
+void SortByTime(std::vector<MicroEvent>* events) {
+  std::stable_sort(events->begin(), events->end(),
                    [](const MicroEvent& x, const MicroEvent& y) {
                      if (x.ts_ns != y.ts_ns) return x.ts_ns < y.ts_ns;
                      return x.tid < y.tid;
                    });
+}
+
+}  // namespace
+
+std::vector<MicroEvent> FlightRecorder::Snapshot() const {
+  std::vector<MicroEvent> events;
+  for (const State::Ring* ring : state_->RingList()) {
+    ring->CopyIntact(0, &events, nullptr);
+  }
+  SortByTime(&events);
   return events;
+}
+
+FlightRecorder::DrainResult FlightRecorder::Drain() {
+  DrainResult out;
+  std::lock_guard<std::mutex> lock(state_->drain_mu);
+  for (State::Ring* ring : state_->RingList()) {
+    ring->cursor =
+        ring->CopyIntact(ring->cursor, &out.events, &out.overwritten);
+  }
+  SortByTime(&out.events);
+  return out;
 }
 
 namespace {
@@ -342,6 +391,19 @@ void AppendArgs(std::string* out, const MicroEvent& e) {
       add("page", e.a);
       add("repaired", e.b);
       break;
+    case FrEvent::kRangeQuery:
+      add("objects", e.a);
+      add("logical", hi_b);
+      add("physical", lo_b);
+      break;
+    case FrEvent::kTickBegin:
+      add("now", e.a);
+      add("q_t", e.b);
+      break;
+    case FrEvent::kTickEnd:
+      add("tier", e.a);
+      add("rects", e.b);
+      break;
   }
 }
 
@@ -373,6 +435,29 @@ void FlightRecorder::WriteJsonl(std::FILE* out,
     std::fputc('\n', out);
   }
 }
+
+namespace {
+
+// The begin/end kinds WriteChromeTrace renders as B/E duration slices.
+struct Slice {
+  FrEvent begin;
+  FrEvent end;
+  const char* name;
+};
+constexpr Slice kSlices[] = {
+    {FrEvent::kQueryBegin, FrEvent::kQueryEnd, "query"},
+    {FrEvent::kCellBegin, FrEvent::kCellEnd, "cell"},
+    {FrEvent::kTickBegin, FrEvent::kTickEnd, "tick"},
+};
+
+const Slice* SliceOf(FrEvent kind) {
+  for (const Slice& s : kSlices) {
+    if (kind == s.begin || kind == s.end) return &s;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 void FlightRecorder::WriteChromeTrace(std::FILE* out,
                                       const std::vector<MicroEvent>& events,
@@ -409,36 +494,23 @@ void FlightRecorder::WriteChromeTrace(std::FILE* out,
   // side of a pair: an unmatched End degrades to an instant, and any
   // Begin still open at the end of the snapshot is closed at the final
   // timestamp.
-  std::map<uint16_t, std::vector<FrEvent>> open;
+  std::map<uint16_t, std::vector<const Slice*>> open;
   int64_t last_ts = events.empty() ? 0 : events.back().ts_ns;
   for (const MicroEvent& e : events) {
-    switch (e.kind) {
-      case FrEvent::kQueryBegin:
-      case FrEvent::kCellBegin: {
-        const char* name =
-            e.kind == FrEvent::kQueryBegin ? "query" : "cell";
-        emit(e, 'B', name);
-        open[e.tid].push_back(e.kind);
-        break;
+    const Slice* slice = SliceOf(e.kind);
+    if (slice == nullptr) {
+      emit(e, 'i', FrEventName(e.kind));
+    } else if (e.kind == slice->begin) {
+      emit(e, 'B', slice->name);
+      open[e.tid].push_back(slice);
+    } else {
+      auto& stack = open[e.tid];
+      if (!stack.empty() && stack.back() == slice) {
+        emit(e, 'E', slice->name);
+        stack.pop_back();
+      } else {
+        emit(e, 'i', slice->name);
       }
-      case FrEvent::kQueryEnd:
-      case FrEvent::kCellEnd: {
-        const FrEvent match = e.kind == FrEvent::kQueryEnd
-                                  ? FrEvent::kQueryBegin
-                                  : FrEvent::kCellBegin;
-        const char* name = e.kind == FrEvent::kQueryEnd ? "query" : "cell";
-        auto& stack = open[e.tid];
-        if (!stack.empty() && stack.back() == match) {
-          emit(e, 'E', name);
-          stack.pop_back();
-        } else {
-          emit(e, 'i', name);
-        }
-        break;
-      }
-      default:
-        emit(e, 'i', FrEventName(e.kind));
-        break;
     }
   }
   for (const auto& [tid, stack] : open) {
@@ -446,8 +518,7 @@ void FlightRecorder::WriteChromeTrace(std::FILE* out,
       MicroEvent close;
       close.ts_ns = last_ts;
       close.tid = tid;
-      emit(close, 'E',
-           stack[i - 1] == FrEvent::kQueryBegin ? "query" : "cell");
+      emit(close, 'E', stack[i - 1]->name);
     }
   }
   std::fputs("\n]}\n", out);

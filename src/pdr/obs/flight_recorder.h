@@ -1,20 +1,21 @@
-// Flight recorder: always-on last-N-events diagnostics for the query path.
+// Flight recorder: the query path's one instrumentation event stream.
 //
-// Aggregate metrics answer "how is the system doing"; sampled trace spans
-// answer "what does a typical query look like". Neither answers the
-// operator's first question after a deadline miss, a drift alert, or a
-// crash: "what exactly did THIS query do?" The flight recorder closes that
-// gap: every instrumented layer (FrEngine, PaEngine, PlaneSweep,
+// Aggregate metrics answer "how is the system doing"; they cannot answer
+// the operator's first question after a deadline miss, a drift alert, or
+// a crash: "what exactly did THIS query do?" The flight recorder closes
+// that gap: every instrumented layer (FrEngine, PaEngine, PlaneSweep,
 // BufferPool, Wal, ResilientExecutor, ThreadPool, PdrMonitor) emits
-// compact binary micro-events into lock-free per-thread ring buffers, and
-// on an incident the rings are snapshotted into a JSONL dump plus a Chrome
-// trace-event file (Perfetto-loadable), keyed by query id.
+// compact binary micro-events into lock-free per-thread ring buffers.
+// Two consumers read the rings: on an incident, Dump() snapshots them
+// into a JSONL dump plus a Chrome trace-event file (Perfetto-loadable),
+// keyed by query id; and Drain() hands a streaming consumer (pdr_tool
+// --trace) each event once, in the same dump format.
 //
 // Cost model:
 //   * disabled (the default): Record() is one relaxed atomic load and a
 //     predicted branch — instrumentation sites stay in hot paths.
-//   * enabled: one ObsClock read plus four relaxed atomic stores into the
-//     calling thread's own ring (~tens of ns). No locks, no allocation
+//   * enabled: one ObsClock read plus six atomic stores into the calling
+//     thread's own ring (~tens of ns). No locks, no allocation
 //     after the ring is built; producers never contend with each other.
 //   * compiled out (PDR_OBS=OFF): every site folds away entirely.
 //
@@ -22,16 +23,16 @@
 // `ring_capacity` events (a power of two). The head counter grows forever;
 // a full ring overwrites its oldest slot, so the recorder always holds the
 // most recent window of activity — exactly what an incident dump needs.
-// Snapshot readers run concurrently with producers: events are stored as
-// four relaxed-atomic words published by a release store of the head, and
-// the reader re-reads the head after copying to discard any slot the
-// producer may have overwritten mid-copy (seqlock-style), so snapshots
-// contain only intact events.
+// Readers run concurrently with producers: events are stored as four
+// relaxed-atomic words published by a release store of the head, and the
+// producer announces each slot it is about to overwrite before touching
+// it, so a reader that re-checks the announcement after copying discards
+// any slot the producer may have overwritten mid-copy (seqlock-style):
+// snapshots and drains contain only intact events.
 //
 // Query attribution: a QueryScope stamps the calling thread's events with
-// a query id; ThreadPool propagates the submitting thread's id to workers
-// the same way it propagates TraceContext, so one query's fan-out is one
-// id across every thread.
+// a query id; ThreadPool propagates the submitting thread's id to each
+// task it runs, so one query's fan-out is one id across every thread.
 //
 // Dump triggers: deadline miss (ResilientExecutor), drift alert
 // (MonitorReporter), CrashError (constructor hook), SLO burn-rate alert
@@ -74,6 +75,9 @@ enum class FrEvent : uint8_t {
   kCheckpoint,      ///< a = tick, b = pages logged
   kFftField,        ///< a = q_t the density field was built for, b = grid m
   kCorruption,      ///< a = page id (-1 = checkpoint blob), b = 1 repaired
+  kRangeQuery,      ///< a = objects returned, b = logical<<32 | physical
+  kTickBegin,       ///< a = now, b = q_t
+  kTickEnd,         ///< a = AnswerTier, b = rects in the current answer
 };
 
 /// Stable lower-case name ("query_begin", "page_fault", ...).
@@ -175,6 +179,19 @@ class FlightRecorder {
   /// (ties broken by thread id). Runs concurrently with producers.
   std::vector<MicroEvent> Snapshot() const;
 
+  struct DrainResult {
+    std::vector<MicroEvent> events;  ///< sorted like Snapshot()
+    int64_t overwritten = 0;  ///< lost to ring wrap before they were read
+  };
+
+  /// The streaming read: the intact events recorded since the previous
+  /// Drain() (each ring keeps a consumer cursor), merged and sorted like
+  /// Snapshot(). Events a ring overwrote before they could be read are
+  /// counted, not returned. Runs concurrently with producers; drains
+  /// serialize. Leaves the rings and the dump counters alone, unlike
+  /// Reset() and Configure().
+  DrainResult Drain();
+
   struct DumpInfo {
     bool ok = false;
     std::string jsonl_path;
@@ -220,7 +237,7 @@ class FlightRecorder {
   static void WriteJsonl(std::FILE* out, const std::vector<MicroEvent>& events,
                          const std::string& reason, uint32_t query_id);
 
-  /// Chrome trace-event JSON: query/cell begin-end pairs become B/E
+  /// Chrome trace-event JSON: query/cell/tick begin-end pairs become B/E
   /// duration events, everything else thread-scoped instants.
   static void WriteChromeTrace(std::FILE* out,
                                const std::vector<MicroEvent>& events,

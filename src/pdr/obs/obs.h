@@ -1,13 +1,9 @@
 // Observability master switch (and umbrella header for pdr/obs).
 //
-// The obs layer has two independent costs, and two switches to match:
-//
-//   * Metrics (MetricsRegistry counters/gauges/histograms) are cheap —
-//     one relaxed atomic op per event — and are meant to stay on in hot
-//     paths. They are gated only by the master switch below.
-//   * Traces (TraceSpan trees) allocate per span, so they are additionally
-//     gated on a sink being installed: with no sink, a TraceSpan
-//     constructor is a single relaxed atomic load.
+// The switch below gates metrics (MetricsRegistry counters/gauges/
+// histograms): one relaxed atomic op per event, meant to stay on in hot
+// paths. Per-query event streams come from the flight recorder
+// (flight_recorder.h), which has its own runtime switch.
 //
 // Compile-time kill switch: configuring with -DPDR_OBS=OFF defines
 // PDR_OBS_DISABLED, which pins PdrObs::Enabled() to `false` as a constant
@@ -15,7 +11,7 @@
 //
 // Runtime: the master switch defaults to ON; set the environment variable
 // PDR_OBS=0 before process start (or call PdrObs::SetEnabled(false)) to
-// turn all instrumentation off.
+// turn metrics off.
 
 #ifndef PDR_OBS_OBS_H_
 #define PDR_OBS_OBS_H_
@@ -29,8 +25,6 @@
 #endif
 
 namespace pdr {
-
-class TraceSink;
 
 class PdrObs {
  public:
@@ -48,32 +42,14 @@ class PdrObs {
   }
   static void SetEnabled(bool on);
 
-  /// Installs the trace sink (not owned; nullptr uninstalls). Completed
-  /// root spans are delivered to the sink, which must be thread-safe.
-  static void SetTraceSink(TraceSink* sink);
-  static TraceSink* trace_sink() {
-#if PDR_OBS_COMPILED
-    return sink_.load(std::memory_order_acquire);
-#else
-    return nullptr;
-#endif
-  }
-
-  /// True when spans should be recorded: enabled and a sink is installed.
-  static bool TracingActive() {
-    return Enabled() && trace_sink() != nullptr;
-  }
-
  private:
 #if PDR_OBS_COMPILED
   static std::atomic<bool> enabled_;
-  static std::atomic<TraceSink*> sink_;
 #endif
 };
 
 }  // namespace pdr
 
 #include "pdr/obs/registry.h"  // IWYU pragma: export
-#include "pdr/obs/trace.h"     // IWYU pragma: export
 
 #endif  // PDR_OBS_OBS_H_

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "pdr/common/geometry.h"
-#include "pdr/obs/trace.h"
 
 namespace pdr {
 
@@ -19,7 +18,6 @@ bool InitialEnabled() {
 }  // namespace
 
 std::atomic<bool> PdrObs::enabled_{InitialEnabled()};
-std::atomic<TraceSink*> PdrObs::sink_{nullptr};
 #endif
 
 void PdrObs::SetEnabled(bool on) {
@@ -27,14 +25,6 @@ void PdrObs::SetEnabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 #else
   (void)on;
-#endif
-}
-
-void PdrObs::SetTraceSink(TraceSink* sink) {
-#if PDR_OBS_COMPILED
-  sink_.store(sink, std::memory_order_release);
-#else
-  (void)sink;
 #endif
 }
 

@@ -42,7 +42,6 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   Task task;
   task.fn = std::packaged_task<void()>(std::move(fn));
-  task.trace = TraceContext::Current();
   task.query_id = FlightRecorder::CurrentQueryId();
   std::future<void> f = task.fn.get_future();
   {
@@ -62,16 +61,19 @@ bool ThreadPool::PopTask(Task* out) {
   return true;
 }
 
-bool ThreadPool::RunOnePending() {
-  Task task;
-  if (!PopTask(&task)) return false;
-  TraceContextScope scope(task.trace);
+void ThreadPool::RunTask(Task& task) {
   FlightRecorder::QueryScope query_scope(task.query_id);
   if (FlightRecorder::Enabled()) {
     FlightRecorder::Record(
         FrEvent::kTaskRun, g_task_seq.fetch_add(1, std::memory_order_relaxed));
   }
   task.fn();  // packaged_task captures exceptions into the future
+}
+
+bool ThreadPool::RunOnePending() {
+  Task task;
+  if (!PopTask(&task)) return false;
+  RunTask(task);
   return true;
 }
 
@@ -85,13 +87,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    TraceContextScope scope(task.trace);
-    FlightRecorder::QueryScope query_scope(task.query_id);
-    if (FlightRecorder::Enabled()) {
-      FlightRecorder::Record(FrEvent::kTaskRun,
-                             g_task_seq.fetch_add(1, std::memory_order_relaxed));
-    }
-    task.fn();
+    RunTask(task);
   }
 }
 

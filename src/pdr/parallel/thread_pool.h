@@ -9,12 +9,10 @@
 // that waits drains the queue itself, so no task can wait on work that has
 // no thread left to run it.
 //
-// Trace propagation: Submit and ParallelFor capture the calling thread's
-// TraceContext and adopt it on whichever thread executes the task, so
-// spans opened inside pool tasks attach into the submitting query's span
-// tree (tagged with the worker's thread id) instead of forming orphan
-// trees per worker. The submitter's flight-recorder query id rides along
-// the same way, so one query's fan-out carries one id across threads.
+// Query attribution: Submit and ParallelFor capture the calling thread's
+// flight-recorder query id and install it (FlightRecorder::QueryScope) on
+// whichever thread executes the task, so one query's fan-out carries one
+// id across threads.
 //
 // Shutdown is graceful: the destructor lets the workers drain every task
 // already queued, then joins them. Tasks submitted after shutdown begins
@@ -32,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "pdr/obs/trace.h"
 #include "pdr/resilience/deadline.h"
 
 namespace pdr {
@@ -80,12 +77,12 @@ class ThreadPool {
  private:
   struct Task {
     std::packaged_task<void()> fn;
-    TraceContext trace;
     uint32_t query_id = 0;  ///< submitter's flight-recorder attribution
   };
 
   void WorkerLoop();
   bool PopTask(Task* out);
+  static void RunTask(Task& task);
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -177,7 +177,6 @@ bool ResilientExecutor::Serves(AnswerTier tier, Tick q_t, double l) const {
 
 TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
                                       const CancelToken* token) {
-  TraceSpan span("resilience.query");
   Timer timer;
   TieredResult out;
   out.budget_ms = options_.deadline_ms > 0.0 ? options_.deadline_ms : 0.0;
@@ -314,13 +313,6 @@ TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
   if (out.timed_out) {
     FlightRecorder::Global().TriggerDump(FlightRecorder::kOnDeadlineMiss,
                                          "deadline_miss", qid);
-  }
-  if (span.active()) {
-    span.SetAttr("tier", static_cast<int64_t>(out.tier));
-    span.SetAttr("reason", static_cast<int64_t>(out.downgrade_reason));
-    span.SetAttr("timed_out", static_cast<int64_t>(out.timed_out));
-    span.SetAttr("elapsed_ms", out.elapsed_ms);
-    span.SetAttr("budget_ms", out.budget_ms);
   }
   return out;
 }

@@ -9,56 +9,10 @@
 
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/registry.h"
-#include "pdr/obs/trace.h"
 #include "pdr/storage/page_format.h"
-#include "pdr/storage/serde.h"
 
 namespace pdr {
 namespace {
-
-constexpr uint32_t kDataMagic = 0x50524450u;  // "PDRP"
-// v2: pages live in kSlotSize slots carrying an integrity trailer
-// (page_format.h). v1 (bare kPageSize pages, no trailer) is rejected —
-// the formats are not distinguishable per page, so reading a v1 store as
-// v2 would misreport every page as corrupt.
-constexpr uint32_t kDataVersion = 2;
-constexpr uint32_t kCkptMagic = 0x43524450u;  // "PDRC"
-constexpr uint32_t kCkptVersion = 1;
-
-struct DataFileHeader {
-  uint32_t magic = kDataMagic;
-  uint32_t version = kDataVersion;
-};
-
-/// The state a commit record / checkpoint descriptor carries: everything
-/// besides the page images needed to reconstruct the pager + application.
-std::string EncodeState(size_t page_count, const std::vector<PageId>& free_list,
-                        const std::string& app_meta) {
-  std::string out;
-  PutPod(&out, static_cast<uint64_t>(page_count));
-  PutPod(&out, static_cast<uint64_t>(free_list.size()));
-  for (const PageId id : free_list) PutPod(&out, id);
-  PutBlob(&out, app_meta);
-  return out;
-}
-
-struct DecodedState {
-  uint64_t page_count = 0;
-  std::vector<PageId> free_list;
-  std::string app_meta;
-};
-
-DecodedState DecodeState(ByteReader* reader) {
-  DecodedState state;
-  state.page_count = reader->Get<uint64_t>();
-  const uint64_t frees = reader->Get<uint64_t>();
-  state.free_list.reserve(frees);
-  for (uint64_t i = 0; i < frees; ++i) {
-    state.free_list.push_back(reader->Get<PageId>());
-  }
-  state.app_meta = std::string(reader->GetBlob());
-  return state;
-}
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -151,17 +105,6 @@ void DiskPager::WritePage(PageId id, const Page& page) {
   dirty_.insert(id);
 }
 
-std::string DiskPager::EncodeCheckpoint(const std::string& app_meta) const {
-  std::string out;
-  PutPod(&out, kCkptMagic);
-  PutPod(&out, kCkptVersion);
-  PutPod(&out, epoch_);
-  PutPod(&out, wal_.next_lsn());
-  out += EncodeState(mirror_.allocated_pages(), mirror_.free_list(), app_meta);
-  PutPod(&out, Fnv1a64(out.data(), out.size()));
-  return out;
-}
-
 void DiskPager::EnsureTables(size_t pages) {
   if (page_lsn_.size() < pages) {
     page_lsn_.resize(pages, 0);
@@ -191,8 +134,12 @@ void DiskPager::ConvergeFiles(const std::set<PageId>& dirty,
   for (const PageId id : dirty) WriteSlot(id);
   data_.Sync();
   ++epoch_;
-  AtomicWriteFile(dir_ + "/checkpoint.pdr", EncodeCheckpoint(app_meta), "ckpt",
-                  injector_);
+  AtomicWriteFile(
+      dir_ + "/checkpoint.pdr",
+      EncodeCheckpoint(epoch_, wal_.next_lsn(),
+                       EncodeStoreState(mirror_.allocated_pages(),
+                                        mirror_.free_list(), app_meta)),
+      "ckpt", injector_);
   wal_.Reset();
 }
 
@@ -200,7 +147,6 @@ void DiskPager::Checkpoint(const std::string& app_meta) {
   if (poisoned_) {
     throw CrashError("checkpoint on a store that already crashed");
   }
-  TraceSpan span("storage.checkpoint");
   const auto start = std::chrono::steady_clock::now();
   const int64_t pages = static_cast<int64_t>(dirty_.size());
   try {
@@ -210,8 +156,8 @@ void DiskPager::Checkpoint(const std::string& app_meta) {
       // so ConvergeFiles can stamp and ReadPage can verify.
       page_lsn_[id] = wal_.AppendPage(id, mirror_.PageAt(id));
     }
-    wal_.AppendCommit(
-        EncodeState(mirror_.allocated_pages(), mirror_.free_list(), app_meta));
+    wal_.AppendCommit(EncodeStoreState(mirror_.allocated_pages(),
+                                       mirror_.free_list(), app_meta));
     wal_.Sync();  // the durable point
     ConvergeFiles(dirty_, app_meta);
   } catch (const CrashError&) {
@@ -223,7 +169,6 @@ void DiskPager::Checkpoint(const std::string& app_meta) {
   checkpoint_stats_.checkpoints++;
   checkpoint_stats_.pages_logged += pages;
   checkpoint_stats_.last_ms = ElapsedMs(start);
-  span.SetAttr("pages", pages);
   if (PdrObs::Enabled()) {
     MetricsRegistry::Global().GetCounter("pdr.storage.checkpoints").Increment();
     MetricsRegistry::Global()
@@ -236,43 +181,21 @@ void DiskPager::Checkpoint(const std::string& app_meta) {
 }
 
 void DiskPager::Recover() {
-  TraceSpan span("storage.recover");
   const auto start = std::chrono::steady_clock::now();
 
   uint64_t ckpt_next_lsn = 0;
-  DecodedState state;
+  StoreState state;
   std::string ckpt_raw;
-  const bool have_ckpt =
-      ReadFileIfExists(dir_ + "/checkpoint.pdr", &ckpt_raw);
   const std::string ckpt_path = dir_ + "/checkpoint.pdr";
+  const bool have_ckpt = ReadFileIfExists(ckpt_path, &ckpt_raw);
   if (have_ckpt) {
-    // checkpoint.pdr is published atomically, so a torn copy can only mean
-    // external damage — surface it (typed, with the flight-recorder hook)
-    // instead of silently starting empty.
-    if (ckpt_raw.size() < sizeof(uint64_t)) {
-      ThrowCorruption(ckpt_path, kInvalidPageId, 0, sizeof(uint64_t),
-                      ckpt_raw.size());
-    }
-    uint64_t stored_sum = 0;
-    std::memcpy(&stored_sum, ckpt_raw.data() + ckpt_raw.size() - 8, 8);
-    const uint64_t computed_sum =
-        Fnv1a64(ckpt_raw.data(), ckpt_raw.size() - 8);
-    if (computed_sum != stored_sum) {
-      ThrowCorruption(ckpt_path, kInvalidPageId, ckpt_raw.size() - 8,
-                      stored_sum, computed_sum);
-    }
-    ByteReader reader(
-        std::string_view(ckpt_raw.data(), ckpt_raw.size() - 8));
-    const uint32_t magic = reader.Get<uint32_t>();
-    const uint32_t version = reader.Get<uint32_t>();
-    if (magic != kCkptMagic || version != kCkptVersion) {
-      ThrowCorruption(ckpt_path, kInvalidPageId, 0,
-                      (uint64_t{kCkptVersion} << 32) | kCkptMagic,
-                      (uint64_t{version} << 32) | magic);
-    }
-    epoch_ = reader.Get<uint64_t>();
-    ckpt_next_lsn = reader.Get<uint64_t>();
-    state = DecodeState(&reader);
+    // checkpoint.pdr is published atomically, so a damaged copy can only
+    // mean external damage — the decoder surfaces it (typed, with the
+    // flight-recorder hook) instead of silently starting empty.
+    CheckpointDescriptor ckpt = DecodeCheckpoint(ckpt_raw, ckpt_path);
+    epoch_ = ckpt.epoch;
+    ckpt_next_lsn = ckpt.next_lsn;
+    state = std::move(ckpt.state);
   }
 
   const Wal::ScanResult scan = wal_.Scan();
@@ -288,8 +211,8 @@ void DiskPager::Recover() {
 
   // The last committed batch (if any) supersedes the checkpoint's state.
   if (!scan.batches.empty()) {
-    ByteReader reader(scan.batches.back().commit_payload);
-    state = DecodeState(&reader);
+    state = DecodeStoreState(scan.batches.back().commit_payload,
+                             dir_ + "/wal.log");
   }
 
   mirror_.Restore(state.page_count, state.free_list);
@@ -373,9 +296,6 @@ void DiskPager::Recover() {
   }
 
   recovery_stats_.recovery_ms = ElapsedMs(start);
-  span.SetAttr("batches", recovery_stats_.batches_applied);
-  span.SetAttr("redo_records", recovery_stats_.redo_records);
-  span.SetAttr("pages_repaired", recovery_stats_.pages_repaired);
   if (PdrObs::Enabled()) {
     MetricsRegistry::Global().GetCounter("pdr.storage.recoveries").Increment();
     if (recovery_stats_.pages_repaired > 0) {

@@ -190,7 +190,6 @@ class DiskPager : public Pager {
   /// checkpoint descriptor, reset the WAL.
   void ConvergeFiles(const std::set<PageId>& dirty,
                      const std::string& app_meta);
-  std::string EncodeCheckpoint(const std::string& app_meta) const;
   void Poison();
   /// Grows the per-page trailer tables to cover `pages` ids.
   void EnsureTables(size_t pages);

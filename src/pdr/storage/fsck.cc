@@ -9,44 +9,11 @@
 #include <vector>
 
 #include "pdr/storage/page_format.h"
-#include "pdr/storage/serde.h"
 #include "pdr/storage/storage_file.h"
 #include "pdr/storage/wal.h"
 
 namespace pdr {
 namespace {
-
-// File-format constants, mirrored from disk_pager.cc (the two must agree;
-// wal_test.cc + cli_test.cc round-trip stores between the pager and fsck,
-// pinning the agreement).
-constexpr uint32_t kDataMagic = 0x50524450u;  // "PDRP"
-constexpr uint32_t kDataVersion = 2;
-constexpr uint32_t kCkptMagic = 0x43524450u;  // "PDRC"
-constexpr uint32_t kCkptVersion = 1;
-
-struct StoreState {
-  uint64_t page_count = 0;
-  std::vector<PageId> free_list;
-};
-
-// Decodes the {page count, free list, app meta} tuple shared by commit
-// records and the checkpoint descriptor. Returns false on truncation.
-bool DecodeState(std::string_view raw, StoreState* state) {
-  try {
-    ByteReader reader(raw);
-    state->page_count = reader.Get<uint64_t>();
-    const uint64_t frees = reader.Get<uint64_t>();
-    state->free_list.clear();
-    state->free_list.reserve(frees);
-    for (uint64_t i = 0; i < frees; ++i) {
-      state->free_list.push_back(reader.Get<PageId>());
-    }
-    reader.GetBlob();  // app meta: fsck only needs the page accounting
-  } catch (const std::runtime_error&) {
-    return false;
-  }
-  return true;
-}
 
 bool FileExists(const std::string& path) {
   struct stat st;
@@ -153,30 +120,15 @@ FsckReport RunFsck(const std::string& dir, const FsckOptions& options) {
   StoreState state;
   bool have_state = false;
   std::string ckpt_raw;
-  if (ReadFileIfExists(ckpt_path, &ckpt_raw) &&
-      ckpt_raw.size() >= sizeof(uint64_t)) {
-    uint64_t stored_sum = 0;
-    std::memcpy(&stored_sum, ckpt_raw.data() + ckpt_raw.size() - 8, 8);
-    if (Fnv1a64(ckpt_raw.data(), ckpt_raw.size() - 8) == stored_sum) {
-      try {
-        ByteReader reader(
-            std::string_view(ckpt_raw.data(), ckpt_raw.size() - 8));
-        const uint32_t magic = reader.Get<uint32_t>();
-        const uint32_t version = reader.Get<uint32_t>();
-        if (magic == kCkptMagic && version == kCkptVersion) {
-          report.epoch = reader.Get<uint64_t>();
-          reader.Get<uint64_t>();  // next LSN
-          std::string_view rest(ckpt_raw.data() + (ckpt_raw.size() - 8 -
-                                                   reader.remaining()),
-                                reader.remaining());
-          if (DecodeState(rest, &state)) {
-            report.checkpoint_ok = true;
-            have_state = true;
-          }
-        }
-      } catch (const std::runtime_error&) {
-        // truncated descriptor: checkpoint_ok stays false
-      }
+  if (ReadFileIfExists(ckpt_path, &ckpt_raw)) {
+    try {
+      CheckpointDescriptor ckpt = DecodeCheckpoint(ckpt_raw, ckpt_path);
+      report.epoch = ckpt.epoch;
+      state = std::move(ckpt.state);
+      report.checkpoint_ok = true;
+      have_state = true;
+    } catch (const CorruptionError&) {
+      // damaged descriptor: checkpoint_ok stays false
     }
   }
 
@@ -193,8 +145,12 @@ FsckReport RunFsck(const std::string& dir, const FsckOptions& options) {
     for (const Wal::PageImage& pi : batch.pages) redo[pi.id] = &pi;
   }
   if (!scan.batches.empty()) {
-    if (DecodeState(scan.batches.back().commit_payload, &state)) {
+    try {
+      state = DecodeStoreState(scan.batches.back().commit_payload,
+                               dir + "/wal.log");
       have_state = true;
+    } catch (const CorruptionError&) {
+      // a malformed commit payload supersedes nothing
     }
   }
   if (!have_state) {
@@ -205,10 +161,7 @@ FsckReport RunFsck(const std::string& dir, const FsckOptions& options) {
 
   StorageFile data;
   data.Open(data_path, "fsck", nullptr);
-  struct {
-    uint32_t magic = 0;
-    uint32_t version = 0;
-  } header;
+  DataFileHeader header{0, 0};
   data.ReadAt(0, &header, sizeof(header));
   if (header.magic != kDataMagic || header.version != kDataVersion) {
     report.error = "data.pdr header untrusted: magic/version " +

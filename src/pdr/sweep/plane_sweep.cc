@@ -159,7 +159,6 @@ std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,
                             int64_t n_min, SweepStats* stats,
                             const QueryControl* ctl) {
-  TraceSpan span("sweep.cell");
   SweepStats local;
   std::vector<Rect> result =
       SweepCellImpl(cell, positions, l, n_min, &local, ctl);
@@ -180,12 +179,6 @@ std::vector<Rect> SweepCell(const Rect& cell,
   y_strips.Add(local.y_strips);
   dense_rects.Add(local.dense_rects);
 
-  if (span.active()) {
-    span.SetAttr("positions", static_cast<int64_t>(positions.size()));
-    span.SetAttr("x_strips", local.x_strips);
-    span.SetAttr("y_sweeps", local.y_sweeps);
-    span.SetAttr("dense_rects", local.dense_rects);
-  }
   // One summary event per cell sweep (not per strip: the flight recorder
   // tracks the decision chain, per-strip work stays in the counters).
   FlightRecorder::Record(

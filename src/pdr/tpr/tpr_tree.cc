@@ -658,8 +658,6 @@ std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQuery(
 
 std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQueryFrom(
     BufferPool& pool, PageId root, const Rect& window, Tick t) {
-  TraceSpan span("tpr.range_query");
-  const IoStats io_before = span.active() ? pool.stats() : IoStats{};
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.tpr.range_queries");
   static Counter& nodes_counter =
@@ -694,13 +692,6 @@ std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQueryFrom(
     }
   }
   nodes_counter.Add(nodes_visited);
-  if (span.active()) {
-    const IoStats delta = pool.stats() - io_before;
-    span.SetAttr("nodes_visited", nodes_visited);
-    span.SetAttr("results", static_cast<int64_t>(out.size()));
-    span.SetAttr("io_reads", delta.physical_reads);
-    span.SetAttr("io_logical", delta.logical_reads);
-  }
   return out;
 }
 

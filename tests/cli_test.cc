@@ -2,7 +2,9 @@
 // binary (path injected by CMake as PDR_TOOL_BIN). Covers the strict
 // argument contract — unknown commands, unknown flags, stray
 // positionals, and missing required flags all print usage and exit 2 —
-// plus a gen/info/query round trip and the deadline-bounded query path.
+// plus a gen/info/query round trip, the deadline-bounded query path, and
+// the `--trace` stream (flight-recorder dump blocks drained per query or
+// tick).
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -10,9 +12,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "json_util.h"
+#include "pdr/obs/obs.h"
 #include "pdr/storage/disk_pager.h"
 #include "pdr/storage/fault_injector.h"
 #include "pdr/storage/page_format.h"
@@ -44,6 +50,68 @@ RunResult RunTool(const std::string& args) {
   return result;
 }
 
+// `ls DIR` output (one name per line).
+std::string ListDir(const std::string& dir) {
+  std::string files;
+  FILE* pipe = popen(("ls " + dir).c_str(), "r");
+  if (pipe == nullptr) return files;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) files.append(buf, n);
+  pclose(pipe);
+  return files;
+}
+
+// A parsed `--trace FILE`: the flight-recorder events of every dump block
+// in file order, the block count, and the metrics snapshot's counters.
+// Every line must parse as JSON (the parser fails the test otherwise).
+struct TraceFile {
+  std::vector<JsonValue> events;
+  int blocks = 0;
+  std::map<std::string, double> counters;
+
+  std::string Kind(size_t i) const { return events[i].Find("kind")->str(); }
+  double Arg(size_t i, const char* name) const {
+    return events[i].Find("args")->Find(name)->number();
+  }
+  double Qid(size_t i) const { return events[i].Find("qid")->number(); }
+  int Count(const std::string& kind) const {
+    int n = 0;
+    for (size_t i = 0; i < events.size(); ++i) n += Kind(i) == kind;
+    return n;
+  }
+};
+
+TraceFile ReadTrace(const std::string& path) {
+  TraceFile trace;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::string line;
+  while (std::getline(in, line)) {
+    const JsonValue doc = JsonParser(line).Parse();
+    if (doc.Find("type") == nullptr) {
+      ADD_FAILURE() << "untyped trace line: " << line;
+      continue;
+    }
+    const std::string type = doc.Find("type")->str();
+    if (type == "fr_dump") {
+      ++trace.blocks;
+    } else if (type == "fr_event") {
+      trace.events.push_back(doc);
+    } else if (type == "counter") {
+      trace.counters[doc.Find("name")->str()] = doc.Find("value")->number();
+    }
+  }
+  return trace;
+}
+
+// The integer printed right after `label` in `text` (-1 when absent).
+long long NumberAfter(const std::string& text, const std::string& label) {
+  const size_t at = text.find(label);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + label.size()));
+}
+
 class CliTest : public ::testing::Test {
  protected:
   // One tiny dataset shared by every test in the suite.
@@ -66,6 +134,9 @@ class CliTest : public ::testing::Test {
   }
 
   static const std::string& dataset() { return *dataset_; }
+  static std::string TempPath(const std::string& name) {
+    return *dir_ + "/" + name;
+  }
 
  private:
   static std::string* dir_;
@@ -191,19 +262,155 @@ TEST_F(CliTest, ExplainDeadlineMissNamesDowngradeReasonAndWritesDump) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("reason:   deadline"), std::string::npos)
       << r.output;
-  // The miss left a Perfetto-loadable dump pair behind.
-  const std::string listing = [&] {
-    std::string files;
-    const std::string cmd = std::string("ls ") + flight_dir;
-    FILE* pipe = popen(cmd.c_str(), "r");
-    char buf[4096];
-    size_t n = 0;
-    while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) files.append(buf, n);
-    pclose(pipe);
-    return files;
-  }();
-  EXPECT_NE(listing.find("deadline_miss"), std::string::npos) << listing;
-  EXPECT_NE(listing.find(".trace.json"), std::string::npos) << listing;
+  if (PdrObs::CompiledIn()) {
+    // The miss left a Perfetto-loadable dump pair behind.
+    const std::string listing = ListDir(flight_dir);
+    EXPECT_NE(listing.find("deadline_miss"), std::string::npos) << listing;
+    EXPECT_NE(listing.find(".trace.json"), std::string::npos) << listing;
+  }
+  std::system((std::string("rm -rf '") + flight_dir + "'").c_str());
+}
+
+// `query --trace F`: one dump block per query, drained from the flight
+// recorder's rings, whose events reproduce the printed answer's counts —
+// serially and with the refinement fanned out over worker rings.
+TEST_F(CliTest, QueryTraceDrainsOneQueryPerBlock) {
+  for (const char* threads : {"1", "4"}) {
+    SCOPED_TRACE(std::string("--threads ") + threads);
+    const std::string path = TempPath("query_trace.jsonl");
+    std::remove(path.c_str());
+    const RunResult r =
+        RunTool("query --in " + dataset() + " --varrho 2 --l 25 --engine fr "
+                "--threads " + threads + " --trace " + path);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    const long long reads = NumberAfter(r.output, "ms I/O (");
+    const long long accepted = NumberAfter(r.output, "cells a/c/r = ");
+    ASSERT_GE(reads, 0) << r.output;
+    ASSERT_GE(accepted, 0) << r.output;
+    const std::string acr = r.output.substr(r.output.find("a/c/r = ") + 8);
+    const long long candidates = NumberAfter(acr, "/");
+    const long long rejected =
+        NumberAfter(acr.substr(acr.find('/') + 1), "/");
+    const TraceFile trace = ReadTrace(path);
+    EXPECT_EQ(trace.blocks, 1);
+    if (!PdrObs::CompiledIn()) continue;
+    EXPECT_NE(r.output.find("(0 events overwritten)"), std::string::npos)
+        << r.output;
+
+    ASSERT_EQ(trace.Count("query_begin"), 1);
+    ASSERT_EQ(trace.Count("query_end"), 1);
+    EXPECT_EQ(trace.Count("cell_begin"), candidates);
+    EXPECT_EQ(trace.Count("cell_end"), candidates);
+    EXPECT_EQ(trace.Count("range_query"),
+              trace.counters.at("pdr.tpr.range_queries"));
+    long long range_reads = 0;
+    size_t begin = 0, end = 0;
+    for (size_t i = 0; i < trace.events.size(); ++i) {
+      const std::string kind = trace.Kind(i);
+      if (kind == "range_query") range_reads += trace.Arg(i, "physical");
+      if (kind == "query_begin") begin = i;
+      if (kind == "query_end") end = i;
+      if (kind == "filter") {
+        EXPECT_EQ(trace.Arg(i, "accepted"), accepted);
+        EXPECT_EQ(trace.Arg(i, "candidates"), candidates);
+        EXPECT_EQ(trace.Arg(i, "rejected"), rejected);
+      }
+    }
+    EXPECT_EQ(range_reads, reads);
+    ASSERT_LT(begin, end);
+    const double qid = trace.Qid(begin);
+    EXPECT_NE(qid, 0);
+    std::map<double, int> tids;
+    for (size_t i = begin; i <= end; ++i) {
+      EXPECT_EQ(trace.Qid(i), qid) << trace.Kind(i);
+      ++tids[trace.events[i].Find("tid")->number()];
+    }
+    if (std::string(threads) == "4") {
+      EXPECT_GT(tids.size(), 1u) << "refinement ran on worker rings";
+    }
+  }
+}
+
+// `monitor --trace F`: every evaluated tick is one block holding one
+// tick_begin/tick_end pair around exactly one query pair.
+TEST_F(CliTest, MonitorTraceEnclosesOneQueryPerTick) {
+  const std::string path = TempPath("monitor_trace.jsonl");
+  std::remove(path.c_str());
+  const RunResult r = RunTool("monitor --in " + dataset() +
+                              " --varrho 2 --l 25 --lookahead 2 --every 2 "
+                              "--trace " + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  int ticks = 0;  // one "t=..." line per evaluated tick
+  for (size_t at = 0; at < r.output.size();
+       at = r.output.find('\n', at) + 1) {
+    ticks += r.output.compare(at, 2, "t=") == 0;
+    if (r.output.find('\n', at) == std::string::npos) break;
+  }
+  ASSERT_GT(ticks, 1) << r.output;
+  const TraceFile trace = ReadTrace(path);
+  EXPECT_EQ(trace.blocks, ticks);
+  if (!PdrObs::CompiledIn()) return;
+  EXPECT_NE(r.output.find("(0 events overwritten)"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(trace.Count("tick_begin"), ticks);
+  EXPECT_EQ(trace.Count("tick_end"), ticks);
+  int open_tick = 0, queries_in_tick = 0, open_query = 0;
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    const std::string kind = trace.Kind(i);
+    if (kind == "tick_begin") {
+      EXPECT_EQ(open_tick, 0);
+      open_tick = 1;
+      queries_in_tick = 0;
+    } else if (kind == "query_begin") {
+      EXPECT_EQ(open_tick, 1);
+      EXPECT_EQ(open_query, 0);
+      open_query = 1;
+      ++queries_in_tick;
+    } else if (kind == "query_end") {
+      EXPECT_EQ(open_query, 1);
+      open_query = 0;
+    } else if (kind == "tick_end") {
+      EXPECT_EQ(open_tick, 1);
+      EXPECT_EQ(open_query, 0);
+      EXPECT_EQ(queries_in_tick, 1);
+      open_tick = 0;
+    }
+  }
+  EXPECT_EQ(open_tick, 0);
+}
+
+// `--trace` and `--flight-dir` together: the deadline miss still writes
+// its dump pair, and the trace holds the ladder's tier events.
+TEST_F(CliTest, QueryTraceWithFlightDirKeepsDumpsAndTierEvents) {
+  char tmpl[] = "/tmp/pdr_cli_fr_XXXXXX";
+  const char* flight_dir = mkdtemp(tmpl);
+  ASSERT_NE(flight_dir, nullptr);
+  const std::string path = TempPath("deadline_trace.jsonl");
+  std::remove(path.c_str());
+  const RunResult r = RunTool("query --in " + dataset() +
+                              " --varrho 2 --l 25 --deadline-ms 1e-3 "
+                              "--trace " + path + " --flight-dir " +
+                              flight_dir);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("(timed out)"), std::string::npos) << r.output;
+  const TraceFile trace = ReadTrace(path);
+  EXPECT_EQ(trace.blocks, 1);
+  if (PdrObs::CompiledIn()) {
+    const std::string listing = ListDir(flight_dir);
+    EXPECT_NE(listing.find(".trace.json"), std::string::npos) << listing;
+    // fr_000_deadline_miss_q<ID>.jsonl: the trace's tier events are the
+    // dumped query's.
+    const long long qid = NumberAfter(listing, "deadline_miss_q");
+    ASSERT_GT(qid, 0) << listing;
+    EXPECT_GT(trace.Count("tier_enter"), 0);
+    EXPECT_GT(trace.Count("cancelled"), 0);
+    for (size_t i = 0; i < trace.events.size(); ++i) {
+      const std::string kind = trace.Kind(i);
+      if (kind == "tier_enter" || kind == "cancelled") {
+        EXPECT_EQ(trace.Qid(i), qid) << kind;
+      }
+    }
+  }
   std::system((std::string("rm -rf '") + flight_dir + "'").c_str());
 }
 

@@ -31,6 +31,7 @@
 #include "pdr/common/random.h"
 #include "pdr/common/region.h"
 #include "pdr/core/fr_engine.h"
+#include "pdr/core/oracle.h"
 #include "pdr/fft/fft_engine.h"
 #include "pdr/fft/raster.h"
 #include "pdr/histogram/filter.h"
@@ -290,6 +291,70 @@ TEST(FftTest, SandwichesExactFrAcross200Seeds) {
   }
 }
 
+// The sandwich pointwise, against the brute-force oracle: the area checks
+// above cannot see one misclassified cell edge, so probe every raster cell
+// where it bins — (lo, hi] per axis — at its center, its closed top-right
+// corner, and one ulp inside each corner. A cell whose center the accept
+// region holds must be dense at every probe; a cell whose center lies
+// outside the maybe region must be sparse at every probe. Dense means at
+// least MinObjectsForDensity(rho, l) objects in the oracle's l-square:
+// the threshold exact FR and the engine share.
+TEST(FftTest, SandwichHoldsAtEveryProbeOfEveryCell) {
+  constexpr int kGrid = 64;
+  int64_t accepts = 0, rejects = 0;  // cells probed, over all seeds
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const Scenario s = MakeScenario(seed);
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed << " l=" << s.l);
+    FftDensityEngine fft({.extent = kExtent, .grid = kGrid, .horizon = 20});
+    Oracle oracle(kExtent);
+    for (const UpdateEvent& e : ScenarioWorkload(s, s.objects)) {
+      fft.Apply(e);
+      oracle.Apply(e);
+    }
+    const FftDensityEngine::QueryResult got = fft.Query(s.q_t, s.rho, s.l);
+    const int64_t threshold = MinObjectsForDensity(s.rho, s.l);
+    // Oracle::CountInSquare, with the positions materialized once.
+    const std::vector<Vec2> positions = oracle.InDomainPositions(s.q_t);
+    const auto count_at = [&](Vec2 c) {
+      const Rect square = Rect::CenteredSquare(c, s.l);
+      int64_t n = 0;
+      for (const Vec2& p : positions) n += square.ContainsLSquare(p);
+      return n;
+    };
+    const RasterGrid& raster = fft.raster();
+    const double g = raster.cell_edge();
+    for (int row = 0; row < kGrid; ++row) {
+      for (int col = 0; col < kGrid; ++col) {
+        const double x_lo = col * g, x_hi = (col + 1) * g;
+        const double y_lo = row * g, y_hi = (row + 1) * g;
+        const Vec2 center{(x_lo + x_hi) / 2, (y_lo + y_hi) / 2};
+        const bool accept = got.region.Contains(center);
+        const bool reject = !got.maybe_region.Contains(center);
+        if (!accept && !reject) continue;
+        std::vector<Vec2> probes = {center};
+        for (const double x : {std::nextafter(x_lo, x_hi),
+                               std::nextafter(x_hi, x_lo), x_hi}) {
+          for (const double y : {std::nextafter(y_lo, y_hi),
+                                 std::nextafter(y_hi, y_lo), y_hi}) {
+            probes.push_back({x, y});
+          }
+        }
+        for (const Vec2 p : probes) {
+          ASSERT_EQ(raster.ColOf(p.x), col) << p.x;
+          ASSERT_EQ(raster.RowOf(p.y), row) << p.y;
+          const bool dense = count_at(p) >= threshold;
+          ASSERT_EQ(dense, accept)
+              << (accept ? "accepted" : "rejected") << " cell (" << col
+              << ", " << row << ") at (" << p.x << ", " << p.y << ")";
+        }
+        ++(accept ? accepts : rejects);
+      }
+    }
+  }
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(rejects, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Engine mechanics: caching, batch amortization, cancellation, horizon.
 
@@ -309,16 +374,20 @@ TEST(FftTest, FieldCacheAmortizesQueriesOnOneTick) {
   for (int i = 1; i <= 8; ++i) {
     results.push_back(fft.Query(3, i * 10.0 / (kExtent * kExtent), 20.0 + i));
   }
-  EXPECT_EQ(built.value(), built_before + 1);  // one field for all 8
   EXPECT_FALSE(results.front().field_cached);
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].field_cached) << "i=" << i;
     EXPECT_EQ(results[i].field_ms, 0.0) << "i=" << i;
   }
+  if (PdrObs::CompiledIn()) {
+    EXPECT_EQ(built.value(), built_before + 1);  // one field for all 8
+  }
 
   // A different q_t is a different field.
-  fft.Query(4, 10.0 / (kExtent * kExtent), 21.0);
-  EXPECT_EQ(built.value(), built_before + 2);
+  EXPECT_FALSE(fft.Query(4, 10.0 / (kExtent * kExtent), 21.0).field_cached);
+  if (PdrObs::CompiledIn()) {
+    EXPECT_EQ(built.value(), built_before + 2);
+  }
 }
 
 TEST(FftTest, ApplyInvalidatesCachedFields) {
@@ -343,7 +412,7 @@ TEST(FftTest, AdvanceToPrunesFieldsBehindTheClock) {
   fft.AdvanceTo(5);
   // Tick 5's field survives the advance; tick 0's is gone (and can no
   // longer be queried anyway).
-  fft.Query(5, 0.004, 22.0);
+  EXPECT_TRUE(fft.Query(5, 0.004, 22.0).field_cached);
   EXPECT_EQ(built.value(), built_before);
 }
 
@@ -367,8 +436,10 @@ TEST(FftTest, CancellationAtWorkBoundariesLeavesNoPartialState) {
       MetricsRegistry::Global().GetCounter("pdr.fft.fields_built");
   const int64_t built_before = built.value();
   const auto ok = fft.Query(0, 0.003, 20.0);
-  EXPECT_EQ(built.value(), built_before + 1);
   EXPECT_FALSE(ok.field_cached);
+  if (PdrObs::CompiledIn()) {
+    EXPECT_EQ(built.value(), built_before + 1);
+  }
 }
 
 TEST(FftTest, GenerousControlIsBitIdenticalToNoControl) {

@@ -1,200 +1,30 @@
-// Tests for the observability layer (pdr/obs): registry semantics, span
-// nesting and timing containment, JSONL round-trip, and thread safety.
+// Tests for the observability layer's metrics (pdr/obs): registry
+// semantics, JSONL round-trip, and thread safety.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
+#include "json_util.h"
 #include "pdr/obs/export.h"
 #include "pdr/obs/obs.h"
 
 namespace pdr {
 namespace {
 
-// ---------------------------------------------------------------------------
-// A minimal JSON parser, just rich enough for the exporter's output, so the
-// round-trip checks parse real JSON instead of substring-matching.
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonObject>, std::shared_ptr<JsonArray>>
-      v = nullptr;
-
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-  const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  double number() const { return std::get<double>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-
-  const JsonValue* Find(const std::string& key) const {
-    if (!is_object()) return nullptr;
-    auto it = object().find(key);
-    return it == object().end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  JsonValue Parse() {
-    JsonValue v = ParseValue();
-    SkipWs();
-    EXPECT_EQ(pos_, s_.size()) << "trailing JSON garbage";
-    return v;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  char Peek() {
-    SkipWs();
-    EXPECT_LT(pos_, s_.size()) << "unexpected end of JSON";
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-  char Next() {
-    const char c = Peek();
-    ++pos_;
-    return c;
-  }
-  void Expect(char c) {
-    const char got = Next();
-    EXPECT_EQ(got, c) << "at position " << pos_;
-  }
-
-  JsonValue ParseValue() {
-    const char c = Peek();
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return JsonValue{ParseString()};
-    if (c == 'n') {
-      pos_ += 4;
-      return JsonValue{nullptr};
-    }
-    if (c == 't') {
-      pos_ += 4;
-      return JsonValue{true};
-    }
-    if (c == 'f') {
-      pos_ += 5;
-      return JsonValue{false};
-    }
-    return ParseNumber();
-  }
-
-  JsonValue ParseObject() {
-    Expect('{');
-    auto obj = std::make_shared<JsonObject>();
-    if (Peek() == '}') {
-      ++pos_;
-      return JsonValue{obj};
-    }
-    while (true) {
-      const std::string key = ParseString();
-      Expect(':');
-      (*obj)[key] = ParseValue();
-      const char c = Next();
-      if (c == '}') break;
-      EXPECT_EQ(c, ',');
-      if (c != ',') break;
-    }
-    return JsonValue{obj};
-  }
-
-  JsonValue ParseArray() {
-    Expect('[');
-    auto arr = std::make_shared<JsonArray>();
-    if (Peek() == ']') {
-      ++pos_;
-      return JsonValue{arr};
-    }
-    while (true) {
-      arr->push_back(ParseValue());
-      const char c = Next();
-      if (c == ']') break;
-      EXPECT_EQ(c, ',');
-      if (c != ',') break;
-    }
-    return JsonValue{arr};
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u':
-            c = static_cast<char>(
-                std::stoi(std::string(s_.substr(pos_, 4)), nullptr, 16));
-            pos_ += 4;
-            break;
-          default: c = esc;
-        }
-      }
-      out.push_back(c);
-    }
-    Expect('"');
-    return out;
-  }
-
-  JsonValue ParseNumber() {
-    SkipWs();
-    size_t end = pos_;
-    while (end < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[end])) ||
-            s_[end] == '-' || s_[end] == '+' || s_[end] == '.' ||
-            s_[end] == 'e' || s_[end] == 'E')) {
-      ++end;
-    }
-    const double v = std::stod(std::string(s_.substr(pos_, end - pos_)));
-    pos_ = end;
-    return JsonValue{v};
-  }
-
-  std::string_view s_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     PdrObs::SetEnabled(true);
-    PdrObs::SetTraceSink(nullptr);
     MetricsRegistry::Global().ResetAll();
   }
-  void TearDown() override { PdrObs::SetTraceSink(nullptr); }
 };
 
-// Tests that need counters to count / spans to open start with this so that
+// Tests that need counters to count start with this so that
 // a -DPDR_OBS=OFF build skips them instead of failing.
 #define REQUIRE_OBS_COMPILED_IN()                                  \
   if (!PdrObs::CompiledIn())                                       \
@@ -335,181 +165,6 @@ TEST_F(ObsTest, SnapshotListsEverythingSorted) {
   EXPECT_TRUE(sorted);
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 2);
-}
-
-TEST_F(ObsTest, SpanWithoutSinkIsInactive) {
-  TraceSpan span("no.sink");
-  EXPECT_FALSE(span.active());
-  span.SetAttr("x", static_cast<int64_t>(1));  // must not crash
-}
-
-TEST_F(ObsTest, SpanNestingAndTimingContainment) {
-  REQUIRE_OBS_COMPILED_IN();
-  CollectingSink sink;
-  PdrObs::SetTraceSink(&sink);
-  {
-    TraceSpan root("root");
-    root.SetAttr("depth", static_cast<int64_t>(0));
-    {
-      TraceSpan child1("child1");
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      TraceSpan grandchild("grandchild");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    TraceSpan child2("child2");
-  }
-  PdrObs::SetTraceSink(nullptr);
-
-  ASSERT_EQ(sink.size(), 1u);
-  const auto traces = sink.TakeAll();
-  const SpanNode& root = *traces[0];
-  EXPECT_EQ(root.name, "root");
-  EXPECT_EQ(root.IntAttrOr("depth", -1), 0);
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0]->name, "child1");
-  EXPECT_EQ(root.children[1]->name, "child2");
-  ASSERT_EQ(root.children[0]->children.size(), 1u);
-  EXPECT_EQ(root.children[0]->children[0]->name, "grandchild");
-  EXPECT_EQ(root.TreeSize(), 4u);
-
-  // Timing containment: every child interval lies within its parent, and
-  // sibling durations sum to no more than the parent's.
-  const SpanNode& child1 = *root.children[0];
-  const SpanNode& grandchild = *child1.children[0];
-  EXPECT_GE(child1.start_ns, root.start_ns);
-  EXPECT_LE(child1.end_ns(), root.end_ns());
-  EXPECT_GE(grandchild.start_ns, child1.start_ns);
-  EXPECT_LE(grandchild.end_ns(), child1.end_ns());
-  EXPECT_GE(root.duration_ns,
-            root.children[0]->duration_ns + root.children[1]->duration_ns);
-  EXPECT_GE(child1.duration_ns, grandchild.duration_ns);
-  EXPECT_GT(child1.duration_ns, 0);
-}
-
-TEST_F(ObsTest, RootSpansAreDeliveredPerTree) {
-  REQUIRE_OBS_COMPILED_IN();
-  CollectingSink sink;
-  PdrObs::SetTraceSink(&sink);
-  for (int i = 0; i < 3; ++i) {
-    TraceSpan span("root");
-  }
-  PdrObs::SetTraceSink(nullptr);
-  EXPECT_EQ(sink.size(), 3u);
-}
-
-TEST_F(ObsTest, DisabledTracingProducesNoSpans) {
-  CollectingSink sink;
-  PdrObs::SetTraceSink(&sink);
-  PdrObs::SetEnabled(false);
-  {
-    TraceSpan span("root");
-    EXPECT_FALSE(span.active());
-  }
-  PdrObs::SetEnabled(true);
-  EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST_F(ObsTest, SpanJsonRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
-  CollectingSink sink;
-  PdrObs::SetTraceSink(&sink);
-  {
-    TraceSpan root("fr.query");
-    root.SetAttr("io_reads", static_cast<int64_t>(42));
-    root.SetAttr("rho", 0.125);
-    root.SetAttr("quote\"backslash\\", static_cast<int64_t>(1));
-    TraceSpan child("fr.filter");
-    child.SetAttr("candidates", static_cast<int64_t>(7));
-  }
-  PdrObs::SetTraceSink(nullptr);
-  ASSERT_EQ(sink.size(), 1u);
-  const auto traces = sink.TakeAll();
-  const SpanNode& original = *traces[0];
-
-  const std::string line = TraceJsonLine(original);
-  JsonParser parser(line);
-  const JsonValue doc = parser.Parse();
-
-  ASSERT_TRUE(doc.is_object());
-  ASSERT_NE(doc.Find("type"), nullptr);
-  EXPECT_EQ(doc.Find("type")->str(), "trace");
-  const JsonValue* span = doc.Find("span");
-  ASSERT_NE(span, nullptr);
-  EXPECT_EQ(span->Find("name")->str(), "fr.query");
-  EXPECT_DOUBLE_EQ(span->Find("start_ns")->number(),
-                   static_cast<double>(original.start_ns));
-  EXPECT_NEAR(span->Find("dur_ms")->number(), original.duration_ms(), 1e-9);
-
-  const JsonValue* attrs = span->Find("attrs");
-  ASSERT_NE(attrs, nullptr);
-  EXPECT_DOUBLE_EQ(attrs->Find("io_reads")->number(), 42.0);
-  EXPECT_DOUBLE_EQ(attrs->Find("rho")->number(), 0.125);
-  EXPECT_DOUBLE_EQ(attrs->Find("quote\"backslash\\")->number(), 1.0);
-
-  const JsonValue* children = span->Find("children");
-  ASSERT_NE(children, nullptr);
-  ASSERT_EQ(children->array().size(), 1u);
-  const JsonValue& child = children->array()[0];
-  EXPECT_EQ(child.Find("name")->str(), "fr.filter");
-  EXPECT_DOUBLE_EQ(child.Find("attrs")->Find("candidates")->number(), 7.0);
-  EXPECT_EQ(child.Find("children"), nullptr);  // leaf spans omit the key
-}
-
-// Regression for the cross-thread child-attachment race: several workers
-// adopting the same open parent and opening spans concurrently must yield
-// ONE well-formed tree (attachment is mutex-guarded; before the guard this
-// corrupted the children vector, visible under TSan). Also checks that
-// per-thread ids survive into the tree and the JSONL export.
-TEST_F(ObsTest, ConcurrentChildSpansAssembleIntoOneTree) {
-  REQUIRE_OBS_COMPILED_IN();
-  CollectingSink sink;
-  PdrObs::SetTraceSink(&sink);
-  constexpr int kWorkers = 4;
-  constexpr int kSpansEach = 50;
-  {
-    TraceSpan root("query.root");
-    ASSERT_TRUE(root.active());
-    const TraceContext ctx = TraceContext::Current();
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-      workers.emplace_back([&ctx, w] {
-        TraceContextScope adopt(ctx);
-        for (int i = 0; i < kSpansEach; ++i) {
-          TraceSpan child("worker.span");
-          child.SetAttr("worker", static_cast<int64_t>(w));
-          // Same-thread nesting below an adopted parent must still chain.
-          TraceSpan nested("worker.nested");
-        }
-      });
-    }
-    for (auto& t : workers) t.join();
-  }
-  PdrObs::SetTraceSink(nullptr);
-
-  ASSERT_EQ(sink.size(), 1u);  // one tree, not kWorkers * kSpansEach trees
-  const auto traces = sink.TakeAll();
-  const SpanNode& root = *traces[0];
-  ASSERT_EQ(root.children.size(),
-            static_cast<size_t>(kWorkers) * kSpansEach);
-  std::set<int64_t> tids;
-  for (const auto& child : root.children) {
-    EXPECT_EQ(child->name, "worker.span");
-    ASSERT_EQ(child->children.size(), 1u);
-    EXPECT_EQ(child->children[0]->name, "worker.nested");
-    EXPECT_EQ(child->children[0]->thread_id, child->thread_id);
-    tids.insert(child->thread_id);
-  }
-  EXPECT_EQ(tids.size(), static_cast<size_t>(kWorkers));
-  EXPECT_EQ(tids.count(root.thread_id), 0u);
-
-  const std::string line = TraceJsonLine(root);
-  JsonParser parser(line);
-  const JsonValue doc = parser.Parse();
-  const JsonValue* span = doc.Find("span");
-  ASSERT_NE(span, nullptr);
-  ASSERT_NE(span->Find("tid"), nullptr);
-  EXPECT_DOUBLE_EQ(span->Find("tid")->number(),
-                   static_cast<double>(root.thread_id));
 }
 
 TEST_F(ObsTest, MetricsJsonlRoundTrip) {

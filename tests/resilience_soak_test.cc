@@ -192,7 +192,9 @@ TEST(ResilienceSoakTest, TransientFaultStormDoesNotLoseDataOrHang) {
     }
     EXPECT_GT(injector.transient_fired(), 0);
     EXPECT_FALSE(injector.fired()) << "transient fault escalated to a crash";
-    EXPECT_EQ(retries.value() - retries_before, injector.transient_fired());
+    if (PdrObs::CompiledIn()) {
+      EXPECT_EQ(retries.value() - retries_before, injector.transient_fired());
+    }
   }
 
   // Reopen fault-free: a normal checkpointed store with nothing lost.

@@ -486,6 +486,7 @@ TEST(ResilienceTest, LadderRecordsFftFieldAndCancellationEvents) {
   ResilientExecutor expired(&rig.fr, &rig.pa, {.deadline_ms = 1e-9},
                             &rig.fft);
   ASSERT_TRUE(expired.Query(0, rig.rho, kL).timed_out);
+  if (!PdrObs::CompiledIn()) return;  // the recorder holds no events
 
   bool saw_enter = false, saw_field = false, saw_cancel = false;
   for (const MicroEvent& e : FlightRecorder::Global().Snapshot()) {
@@ -652,8 +653,10 @@ TEST(ResilienceTest, LadderMatchesItsReferenceWalkAcrossTheMatrix) {
               events.emplace_back(e.kind, e.a,
                                   e.kind == FrEvent::kCancelled ? 0 : e.b);
             }
-            EXPECT_NE(qid, 0u);
-            EXPECT_EQ(events, want.events);
+            if (PdrObs::CompiledIn()) {
+              EXPECT_NE(qid, 0u);
+              EXPECT_EQ(events, want.events);
+            }
             if (threw) continue;
 
             EXPECT_EQ(got.explain.query_id, qid);
@@ -722,7 +725,9 @@ TEST(ResilienceTest, TransientFaultsAreRetriedAndCounted) {
     EXPECT_EQ(injector.transient_fired(), 3);
     EXPECT_FALSE(injector.fired());  // no crash was delivered
   }
-  EXPECT_EQ(retries.value(), retries_before + 3);
+  if (PdrObs::CompiledIn()) {
+    EXPECT_EQ(retries.value(), retries_before + 3);
+  }
 
   // Reopen: normal recovery from a complete checkpoint, no data loss and
   // no crash-recovery path involved.
@@ -930,6 +935,7 @@ TEST(ResilienceTest, MonitorOffersDegradedAnswersToTheAuditor) {
   monitor.SetAuditor(&auditor);
   const auto delta = monitor.OnTick(0);
   EXPECT_EQ(delta.tier, AnswerTier::kHistogram);
+  if (!PdrObs::CompiledIn()) return;  // no sampler, no verdict
   ASSERT_TRUE(delta.audit.has_value());
   // The histogram tier is pessimistic: whatever it claims dense is dense.
   EXPECT_GE(delta.audit->precision, 1.0 - 1e-9);
@@ -988,13 +994,18 @@ TEST(ResilienceTest, MonitorQueryBatchAmortizesOneFieldPerTargetTick) {
 
   const std::vector<TieredResult> results = monitor.QueryBatch(0, specs);
   ASSERT_EQ(results.size(), specs.size());
-  EXPECT_EQ(built.value(), built_before + 2);
+  if (PdrObs::CompiledIn()) {
+    EXPECT_EQ(built.value(), built_before + 2);
+  }
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].tier, AnswerTier::kFft) << "i=" << i;
     EXPECT_EQ(results[i].explain.q_t,
               static_cast<Tick>(specs[i].lookahead))
         << "i=" << i;
   }
+  // Both target ticks' fields are cached for whatever comes next.
+  EXPECT_TRUE(fft.Query(0, WorkloadRho(), kL).field_cached);
+  EXPECT_TRUE(fft.Query(2, WorkloadRho(), kL).field_cached);
 }
 
 TEST(ResilienceTest, MonitorQueryBatchWithoutLadderAnswersExact) {
