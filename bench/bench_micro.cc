@@ -113,6 +113,92 @@ void BM_SweepCell(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCell)->Arg(64)->Arg(512)->Arg(4096);
 
+// l = 1 in the same 10-unit cell: the band is a thin slice of the cell
+// while the Y boundary table holds every nearby object, the regime where a
+// Y-sweep that scanned the whole table per strip would lose to one over
+// the band.
+void BM_SweepCellSmallL(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(5);
+  std::vector<Vec2> positions;
+  positions.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    positions.push_back({rng.Uniform(-0.5, 10.5), rng.Uniform(-0.5, 10.5)});
+  }
+  const Rect cell(0, 0, 10, 10);
+  // About twice the mean count of a unit square: dense spots exist.
+  const int64_t n_min = 2 * n / 121 + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SweepCell(cell, positions, 1.0, n_min));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SweepCellSmallL)->Arg(512)->Arg(4096);
+
+// The plane sweep on the real candidate cells of the serving benchmark's
+// standing exact query: a seeded 10k-object trip model after U + 10 ticks,
+// queried 20 ticks ahead at varrho 3, l 30 (about 38 objects per cell),
+// each cell's positions gathered by its own range query as Section 5.3
+// refines it. One iteration sweeps one cell, cycling through all of them,
+// so the time is per cell.
+void BM_SweepCellTripModel(benchmark::State& state) {
+  struct Cell {
+    Rect rect;
+    std::vector<Vec2> positions;
+  };
+  constexpr int kObjects = 10000;
+  constexpr double kRho = 3.0 * kObjects / (kExtent * kExtent);
+  constexpr double kL = 30.0;
+  static const std::vector<Cell> cells = [] {
+    constexpr Tick kU = 60;
+    WorkloadConfig wc;
+    wc.WithExtent(kExtent);
+    wc.num_objects = kObjects;
+    wc.max_update_interval = kU;
+    wc.seed = 1;
+    const Dataset ds = GenerateDataset(wc, kU + 10);
+    FrEngine fr({.extent = kExtent,
+                 .histogram_side = 100,
+                 .horizon = 2 * kU,
+                 .buffer_pages = 4096,
+                 .max_update_interval = kU});
+    ReplayInto(ds, -1, &fr);
+    const Tick q_t = ds.duration() + 20;
+    const Grid& grid = fr.histogram().grid();
+    const FilterResult filter = FilterCells(fr.histogram(), q_t, kRho, kL);
+    std::vector<Cell> out;
+    for (int flat = 0; flat < grid.cell_count(); ++flat) {
+      const Rect rect = grid.CellRect(flat);
+      if (filter.At(flat % grid.cells_per_side(),
+                    flat / grid.cells_per_side()) != CellClass::kCandidate) {
+        continue;
+      }
+      Cell cell{rect, {}};
+      for (const auto& [id, st] :
+           fr.index().RangeQuery(rect.Expanded(kL / 2), q_t)) {
+        (void)id;
+        const Vec2 p = st.PositionAt(q_t);
+        if (grid.InDomain(p)) cell.positions.push_back(p);
+      }
+      out.push_back(std::move(cell));
+    }
+    return out;
+  }();
+  const int64_t n_min = MinObjectsForDensity(kRho, kL);
+  size_t i = 0;
+  int64_t objects = 0;
+  for (auto _ : state) {
+    const Cell& cell = cells[i];
+    benchmark::DoNotOptimize(SweepCell(cell.rect, cell.positions, kL, n_min));
+    objects += static_cast<int64_t>(cell.positions.size());
+    if (++i == cells.size()) i = 0;
+  }
+  state.counters["cells"] = static_cast<double>(cells.size());
+  state.counters["objects_per_cell"] =
+      static_cast<double>(objects) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SweepCellTripModel);
+
 void BM_Cheb2DEval(benchmark::State& state) {
   Cheb2D poly(5);
   Rng rng(6);

@@ -51,8 +51,9 @@
 // `--trace FILE` (query, monitor) turns the flight recorder on and, after
 // each query and each evaluated tick, appends the events recorded since
 // the previous drain to FILE in the recorder's JSONL dump format ("-" for
-// stdout), then a final metrics snapshot. See EXPERIMENTS.md for a
-// walkthrough of reading a trace.
+// stdout), then a final metrics snapshot. `query` drops the dataset
+// replay's events before each query runs; a `monitor` tick's block keeps
+// its ingest. See EXPERIMENTS.md for a walkthrough of reading a trace.
 //
 // `--deadline-ms D` (query, monitor) bounds each query's wall time: on
 // overrun the degradation ladder (DESIGN.md §11) downgrades exact FR to PA
@@ -136,7 +137,8 @@ namespace {
 using namespace pdr;
 
 // Scoped `--trace FILE` plumbing: Drain() appends the flight-recorder
-// events recorded since the previous drain as one dump-format block; the
+// events recorded since the previous drain as one dump-format block,
+// Discard() drops them (the dataset replay in front of a query); the
 // destructor appends a metrics snapshot and reports. The recorder itself
 // is armed by ArmFlightRecorder.
 class TraceOutput {
@@ -159,6 +161,10 @@ class TraceOutput {
     FlightRecorder::WriteJsonl(file_, drained.events, "trace", 0);
     lines_ += 1 + static_cast<int64_t>(drained.events.size());
     overwritten_ += drained.overwritten;
+  }
+
+  void Discard() {
+    if (file_ != nullptr) FlightRecorder::Global().Drain();
   }
 
   ~TraceOutput() {
@@ -455,6 +461,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
     PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &fr);
     ReplayInto(ds, -1, &pa);
+    trace.Discard();
     ResilienceOptions opts;
     opts.deadline_ms = deadline_ms;
     opts.degrade = FlagOr(flags, "degrade", "1") != "0";
@@ -490,6 +497,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
          .horizon = fr.options().horizon});
     ReplayInto(ds, -1, &fr);
     ReplayInto(ds, -1, &fft);
+    trace.Discard();
     ResilienceOptions opts;
     opts.enable_exact = false;
     ResilientExecutor exec(&fr, nullptr, opts, &fft);
@@ -511,6 +519,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   if (engine == "fr" || engine == "both") {
     FrEngine fr(FrOptionsFor(ds, flags));
     ReplayInto(ds, -1, &fr);
+    trace.Discard();
     const auto result = fr.Query(q_t, rho, l, /*cold_cache=*/true);
     trace.Drain();
     std::printf(
@@ -529,6 +538,7 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
   if (engine == "pa" || engine == "both") {
     PaEngine pa(PaOptionsFor(ds, l, flags));
     ReplayInto(ds, -1, &pa);
+    trace.Discard();
     const auto result = pa.Query(q_t, rho);
     trace.Drain();
     std::printf("PA: %zu rects, %.1f sq-miles | %.1f ms CPU, no I/O\n",

@@ -11,7 +11,10 @@
 # consolidates the series into one
 # BENCH_baseline.json at the repo root. Two observability series ride
 # along: the flight-recorder's off/on overhead on the end-to-end query
-# probe and the byte size of one seeded deadline-miss dump pair.
+# probe and the byte size of one seeded deadline-miss dump pair. The
+# "kernels" entry records bench_micro's per-kernel rows (the FR plane
+# sweep, the region algebra, PA's dense-region search, the end-to-end FR
+# query) as medians of 5 repetitions.
 # The timing-relevant cost bench runs twice — serial (--threads=1) and at
 # hardware concurrency (--threads=0) — so the baseline records the scaling
 # headroom of the parallel query paths; answers are bit-identical across
@@ -33,7 +36,7 @@
 #   --build DIR build tree holding the bench binaries (default: build)
 #   --only LIST re-record just these entries of "benches" (e.g.
 #               bench_fig10_cost,bench_fig10_cost.threads_hw,replay,
-#               flight_recorder) and merge them into the existing file,
+#               flight_recorder,kernels) and merge them into the existing file,
 #               keeping every other bench and its provenance; the scale
 #               must match the file's
 
@@ -79,7 +82,7 @@ done
 all_benches=(bench_fig8_accuracy bench_fig8_memory bench_fig10_cost
              bench_durability bench_resilience bench_mvcc bench_fft)
 known=("${all_benches[@]}" bench_fig10_cost.threads_hw replay
-       flight_recorder)
+       flight_recorder kernels)
 
 # wanted NAME: true when NAME is recorded in this run.
 wanted() {
@@ -144,6 +147,23 @@ elif [[ -x "${build}/bench/bench_micro" ]]; then
       --benchmark_format=json >"${tmpdir}/recorder_probe.json"
 else
   echo "note: bench_micro not built; skipping recorder-overhead series"
+fi
+# Kernel series: bench_micro's rows for the kernels an exact or approx
+# tick spends its CPU in — the plane sweep on synthetic cells (l = 30 and
+# l = 1) and on the trip model's real candidate cells, Coalesced() and the
+# monitor delta, PA's dense-region search, and the end-to-end FR query.
+# Five repetitions; the JSON's median aggregate is what gets recorded.
+if ! wanted kernels; then
+  :
+elif [[ -x "${build}/bench/bench_micro" ]]; then
+  echo "==== bench_micro kernel rows ===="
+  env -u PDR_FLIGHT_RECORDER "${build}/bench/bench_micro" \
+      --benchmark_filter='^(BM_SweepCell.*|BM_RegionCoalesce/.*|BM_RegionDifference|BM_ChebGridQueryDense|BM_FrQuery)$' \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
+      --benchmark_format=json >"${tmpdir}/kernels.json"
+else
+  echo "note: bench_micro not built; skipping kernel series"
 fi
 # Replay series: `pdr_tool replay --bench` over the canned CI workload
 # (tests/fixtures/ci_workload.wlog) — the series scripts/check_replay.sh
@@ -328,6 +348,28 @@ if os.path.exists(probe):
         record("flight_recorder", {"overhead": [{
             "off_ms": off / 1e6, "on_ms": on / 1e6,
             "overhead_pct": 100.0 * (on - off) / off}]})
+
+# Kernel medians: one row per bench_micro row, times in ns plus the row's
+# own counters (items_per_second, rects, cells, ...).
+kernels = os.path.join(tmpdir, "kernels.json")
+if os.path.exists(kernels):
+    with open(kernels) as f:
+        runs = json.load(f)["benchmarks"]
+    to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    standard = {"name", "family_index", "per_family_instance_index",
+                "run_name", "run_type", "repetitions", "threads",
+                "aggregate_name", "aggregate_unit", "iterations",
+                "real_time", "cpu_time", "time_unit", "repetition_index"}
+    rows = []
+    for b in runs:
+        if b.get("aggregate_name") != "median":
+            continue
+        unit = to_ns[b.get("time_unit", "ns")]
+        row = {"bench": b["run_name"], "real_ns": b["real_time"] * unit,
+               "cpu_ns": b["cpu_time"] * unit, "repetitions": b["repetitions"]}
+        row.update({k: v for k, v in b.items() if k not in standard})
+        rows.append(row)
+    record("kernels", {"median": rows})
 
 # Dump volume: sizes of the seeded deadline-miss dump pair.
 dumpdir = os.path.join(tmpdir, "fr_dumps")

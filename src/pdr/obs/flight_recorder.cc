@@ -138,40 +138,41 @@ struct FlightRecorder::State {
 
   // Returns the calling thread's ring for the current configuration,
   // registering one on first use (or after a Configure/Reset bumped the
-  // generation).
+  // generation). A ring is owned jointly by the list and by its thread, so
+  // a generation bump retires it from the list while the thread may still
+  // be writing into it; it is freed once the thread registers its next
+  // ring (or exits) and no reader holds a copy.
   Ring* ThreadRing() {
     struct Tls {
       Ring* ring = nullptr;
       uint64_t gen = 0;
     };
-    thread_local Tls tls;
+    thread_local Tls tls;  // trivially destructible: no guard on the hot path
     uint64_t gen = generation.load(std::memory_order_acquire);
     if (tls.ring == nullptr || tls.gen != gen) {
+      thread_local std::shared_ptr<Ring> owned;  // keeps tls.ring alive
       std::lock_guard<std::mutex> lock(mu);
       // Re-read under the lock: Configure may have raced.
       gen = generation.load(std::memory_order_relaxed);
-      auto ring = std::make_unique<Ring>(
-          options.ring_capacity, static_cast<uint16_t>(rings.size()));
-      tls.ring = ring.get();
+      owned = std::make_shared<Ring>(options.ring_capacity,
+                                     static_cast<uint16_t>(rings.size()));
+      tls.ring = owned.get();
       tls.gen = gen;
-      rings.push_back(std::move(ring));
+      rings.push_back(owned);
     }
     return tls.ring;
   }
 
-  // The current rings. They are append-only and never freed before a
-  // generation bump, which also clears this list.
-  std::vector<Ring*> RingList() {
+  // Owning copies of the current rings: a reader keeps each ring alive
+  // while it copies, even if a generation bump retires it meanwhile.
+  std::vector<std::shared_ptr<Ring>> RingList() {
     std::lock_guard<std::mutex> lock(mu);
-    std::vector<Ring*> out;
-    out.reserve(rings.size());
-    for (const auto& r : rings) out.push_back(r.get());
-    return out;
+    return rings;
   }
 
   std::mutex mu;  // guards rings vector growth, options, and dump files
   std::mutex drain_mu;  // serializes Drain() and guards Ring::cursor
-  std::vector<std::unique_ptr<Ring>> rings;
+  std::vector<std::shared_ptr<Ring>> rings;
   Options options;
   DumpHook dump_hook;  // guarded by mu; copied out before invocation
   std::atomic<uint64_t> generation{1};
@@ -283,7 +284,7 @@ void SortByTime(std::vector<MicroEvent>* events) {
 
 std::vector<MicroEvent> FlightRecorder::Snapshot() const {
   std::vector<MicroEvent> events;
-  for (const State::Ring* ring : state_->RingList()) {
+  for (const auto& ring : state_->RingList()) {
     ring->CopyIntact(0, &events, nullptr);
   }
   SortByTime(&events);
@@ -293,7 +294,7 @@ std::vector<MicroEvent> FlightRecorder::Snapshot() const {
 FlightRecorder::DrainResult FlightRecorder::Drain() {
   DrainResult out;
   std::lock_guard<std::mutex> lock(state_->drain_mu);
-  for (State::Ring* ring : state_->RingList()) {
+  for (const auto& ring : state_->RingList()) {
     ring->cursor =
         ring->CopyIntact(ring->cursor, &out.events, &out.overwritten);
   }

@@ -123,6 +123,8 @@ class FlightRecorder {
 
   /// Replaces the configuration and drops all recorded events (rings are
   /// re-registered lazily at the new capacity). Does not change enabled().
+  /// Safe while other threads record, snapshot or drain: a dropped ring
+  /// is retired, and freed only once its producer and readers let go.
   void Configure(const Options& options);
   Options options() const;
 
@@ -225,7 +227,8 @@ class FlightRecorder {
     return dumps_.load(std::memory_order_relaxed);
   }
 
-  /// Drops all recorded events and the dump counter (tests).
+  /// Drops all recorded events and the dump counter (tests). Retires
+  /// rings like Configure().
   void Reset();
 
   // --- serialization (exposed for tests and in-process consumers) ----------

@@ -14,21 +14,31 @@
 // (Lemma 2), yielding dense segments [y_j, y_{j+1}) and hence dense
 // rectangles [x_i, x_{i+1}) x [y_j, y_{j+1}).
 //
-// Structures. The entry (ox - l/2, oy) and exit (ox + l/2, oy) lists are
-// sorted once per cell; the X events are their merge. The band is a sorted
-// vector of member y-coordinates (insert at the upper bound, erase one at
-// the lower bound), which is the Y-sweep's sorted input as it stands. The
-// Y-sweep writes entries oy - l/2 and exits oy + l/2 in band order, sorted
-// because rounding is monotone (a <= b implies fl(a - c) <= fl(b - c)),
-// merges them into its events (clipped to (y_b, y_t), repeats dropped),
-// and counts members with two forward-only cursors. These are the doubles
-// and counts sort + unique and upper_bound would give, so the output is
-// bit-identical to sorting per strip (DESIGN.md §6). Buffers are local to
-// one SweepCell call and reused by all its strips.
+// Structures. The positions are sorted once by x and once by y. Rounding
+// is monotone (a <= b implies fl(a - c) <= fl(b - c)), so x order is the
+// order of both the entries ox - l/2 and the exits ox + l/2; the X events
+// are their merge (clipped to (x_lo, x_hi), repeats dropped). The Y side
+// is one boundary table per cell, built the same way from y order: y_lo,
+// every entry oy - l/2 and exit oy + l/2 strictly inside (y_lo, y_hi), and
+// y_hi, E + 1 boundaries for E strips. Each object's y-interval becomes two
+// indices into it, the first boundary >= its entry and the first >= its
+// exit (both capped at E), found by one forward walk. The band lives on
+// the table: a count delta per boundary (+1 at the entry index and -1 at
+// the exit index of every member), a member count per interior boundary
+// with one occupancy bit per boundary, set while that count is nonzero,
+// and the band size. An object entering or leaving the band is O(1).
+// A Y-sweep visits boundary 0, then the occupied boundaries
+// in increasing order by a 64-bit word scan, accumulating the deltas. The
+// count changes only there, and those boundaries are exactly the events
+// the band's own entries and exits give, so the runs, their doubles and
+// y_strips (1 + occupied boundaries) are what sorting the band's events
+// for every strip gives (DESIGN.md §6). Buffers are local to one
+// SweepCell call.
 //
-// Cost. A cell with k nearby objects costs O(k log k) for the two sorts,
-// then O(band) per X-strip (one insertion or erasure, plus the Y-sweep when
-// the band meets n_min): O(k log k + sum over strips of band).
+// Cost. A cell with k nearby objects costs O(k log k) for the two sorts
+// and the table, O(1) per object entering or leaving the band, and
+// O(E/64 + b) per Y-sweep over a band with b distinct interior boundaries:
+// O(k log k + sum over Y-sweeps of (E/64 + b)).
 
 #ifndef PDR_SWEEP_PLANE_SWEEP_H_
 #define PDR_SWEEP_PLANE_SWEEP_H_
@@ -65,9 +75,9 @@ struct SweepStats {
 /// The returned rectangles are half-open, disjoint in x-strips, and clipped
 /// to `cell`.
 ///
-/// `ctl` (optional) is polled once per X-strip — and inside each Y-sweep
-/// per Y-strip — so a deadline-bounded query abandons the sweep within one
-/// strip of expiry (CancelledError).
+/// `ctl` (optional) is polled once per X-strip, before its Y-sweep, so a
+/// deadline-bounded query abandons the sweep within one strip of expiry
+/// (CancelledError); a Y-sweep is a bit scan and is not polled inside.
 std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,
                             int64_t n_min, SweepStats* stats = nullptr,
@@ -75,7 +85,9 @@ std::vector<Rect> SweepCell(const Rect& cell,
 
 /// Y-sweep over one band (Algorithm 3), exposed for testing: given the
 /// sorted y-coordinates of the band's members, returns maximal dense
-/// segments [y_lo, y_hi) within [y_b, y_t). `ctl` is polled per Y-strip.
+/// segments [y_lo, y_hi) within [y_b, y_t). It is one X-strip of
+/// SweepCell's kernel with every given y in the band; `stats` gains only
+/// y_strips, and `ctl` is polled once, before the sweep.
 std::vector<std::pair<double, double>> SweepY(
     const std::vector<double>& sorted_ys, double y_b, double y_t, double l,
     int64_t n_min, SweepStats* stats = nullptr,

@@ -273,7 +273,8 @@ TEST_F(CliTest, ExplainDeadlineMissNamesDowngradeReasonAndWritesDump) {
 
 // `query --trace F`: one dump block per query, drained from the flight
 // recorder's rings, whose events reproduce the printed answer's counts —
-// serially and with the refinement fanned out over worker rings.
+// serially and with the refinement fanned out over worker rings — and
+// carry the query's id: the dataset replay in front of it is dropped.
 TEST_F(CliTest, QueryTraceDrainsOneQueryPerBlock) {
   for (const char* threads : {"1", "4"}) {
     SCOPED_TRACE(std::string("--threads ") + threads);
@@ -299,6 +300,10 @@ TEST_F(CliTest, QueryTraceDrainsOneQueryPerBlock) {
 
     ASSERT_EQ(trace.Count("query_begin"), 1);
     ASSERT_EQ(trace.Count("query_end"), 1);
+    // The dataset replay's events were dropped before the query ran.
+    for (size_t i = 0; i < trace.events.size(); ++i) {
+      EXPECT_NE(trace.Qid(i), 0) << trace.Kind(i);
+    }
     EXPECT_EQ(trace.Count("cell_begin"), candidates);
     EXPECT_EQ(trace.Count("cell_end"), candidates);
     EXPECT_EQ(trace.Count("range_query"),
@@ -328,6 +333,29 @@ TEST_F(CliTest, QueryTraceDrainsOneQueryPerBlock) {
     if (std::string(threads) == "4") {
       EXPECT_GT(tids.size(), 1u) << "refinement ran on worker rings";
     }
+  }
+
+  // A replay that alone would wrap the 65,536-event ring (12,000 objects
+  // over 120 ticks: ~80k ingest events) is dropped before the query, so
+  // the block holds only the query and nothing is overwritten.
+  const std::string data = TempPath("replay_overflow.bin");
+  const RunResult gen = RunTool("gen --out " + data +
+                                " --objects 12000 --duration 120 --seed 3");
+  ASSERT_EQ(gen.exit_code, 0) << gen.output;
+  const std::string path = TempPath("replay_overflow.jsonl");
+  std::remove(path.c_str());
+  const RunResult r = RunTool("query --in " + data +
+                              " --varrho 2 --l 30 --engine fr --trace " + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const TraceFile trace = ReadTrace(path);
+  EXPECT_EQ(trace.blocks, 1);
+  if (!PdrObs::CompiledIn()) return;
+  EXPECT_NE(r.output.find("(0 events overwritten)"), std::string::npos)
+      << r.output;
+  ASSERT_EQ(trace.Count("query_begin"), 1);
+  EXPECT_EQ(trace.Kind(0), "query_begin");
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    ASSERT_NE(trace.Qid(i), 0) << trace.Kind(i);
   }
 }
 

@@ -351,6 +351,71 @@ TEST_F(FlightRecorderTest, DrainRacingProducersReturnsEachEventAtMostOnce) {
   EXPECT_FALSE(FlightRecorder::Global().Snapshot().empty());
 }
 
+// Configure() and Reset() while four producers record and another thread
+// snapshots and drains: a ring a producer is writing into, or a reader
+// copied, is retired rather than freed, and every event read back is one a
+// producer wrote. This test is in the TSan lane; under ASan it fails with
+// a heap-use-after-free if either retire path frees a live ring.
+TEST_F(FlightRecorderTest, ReconfigureUnderLiveProducers) {
+  constexpr int kThreads = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> recorded{0};  // published every 64 events
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &stop, &recorded] {
+      for (int64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        FlightRecorder::Record(FrEvent::kTaskRun, i, t);
+        if (i % 64 == 0) recorded.fetch_add(64, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Every round starts only once producers have recorded since the last
+  // one, so each Configure/Reset lands among live producers.
+  const auto await_producers = [&recorded] {
+    const int64_t seen = recorded.load(std::memory_order_relaxed);
+    while (recorded.load(std::memory_order_relaxed) < seen + 4 * 64) {
+      std::this_thread::yield();
+    }
+  };
+  FlightRecorder& recorder = FlightRecorder::Global();
+  std::atomic<int64_t> read{0}, foreign{0};
+  const auto keep = [&](const std::vector<MicroEvent>& events) {
+    for (const MicroEvent& e : events) {
+      foreign += e.kind != FrEvent::kTaskRun || e.a < 0 || e.b < 0 ||
+                 e.b >= kThreads;
+    }
+    read += static_cast<int64_t>(events.size());
+  };
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      keep(recorder.Snapshot());
+      keep(recorder.Drain().events);
+    }
+  });
+  for (int round = 0; round < 100; ++round) {
+    await_producers();
+    FlightRecorder::Options options;
+    options.ring_capacity = size_t{16} << (round % 4);
+    recorder.Configure(options);
+    keep(recorder.Snapshot());
+    keep(recorder.Drain().events);
+    recorder.Reset();
+    keep(recorder.Drain().events);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+  reader.join();
+
+  EXPECT_GT(read.load(), 0);
+  EXPECT_EQ(foreign.load(), 0);
+  // Quiescent again: a fresh configuration records and reads normally.
+  recorder.Configure(FlightRecorder::Options{});
+  FlightRecorder::Record(FrEvent::kTaskRun, 7, 0);
+  const std::vector<MicroEvent> after = recorder.Snapshot();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].a, 7);
+}
+
 // kCheckpoint's b is the page count that checkpoint logs, recorded before
 // the WAL appends.
 TEST_F(FlightRecorderTest, CheckpointEventCarriesPagesLogged) {

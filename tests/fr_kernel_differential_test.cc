@@ -1,18 +1,20 @@
 // FR's refinement kernel and the region algebra against a reference
 // implementation.
 //
-// SweepCell keeps the band as a sorted vector, merges its entry and exit
-// lists into the Y events and counts with two cursors; the region algebra
-// keeps its active intervals in sorted vectors, and the boolean operations
-// stitch each slab's result directly. The reference below is the
-// straightforward form of the same algorithms: an ordered multiset for the
-// band, the band copied and three arrays sorted for every Y-sweep, counts
-// by binary search, a map of active intervals, and boolean operations that
-// emit one rect per slab interval and then run Coalesced() over them.
-// The two must agree bit for bit — every rect (memcmp) and every
-// SweepStats counter — over cells built to collide (coincident points,
-// shared coordinates, points on the cell's and on the l/2-expanded
-// window's edges), random overlapping rect sets on a continuous range and
+// SweepCell keeps the band on a per-cell Y boundary table (a count delta
+// per boundary, occupancy bits, a word scan per Y-sweep); the region
+// algebra keeps its active intervals in sorted vectors, and the boolean
+// operations stitch each slab's result directly. The reference below is
+// the straightforward form of the same algorithms: an ordered multiset for
+// the band, the band copied and three arrays sorted for every Y-sweep,
+// counts by binary search, a map of active intervals, and boolean
+// operations that emit one rect per slab interval and then run Coalesced()
+// over them. The two must agree bit for bit — every rect (memcmp) and
+// every SweepStats counter — over cells built to collide (coincident
+// points, shared coordinates, points on the cell's and on the l/2-expanded
+// window's edges, one object's entry on another's exit, objects wholly
+// above or below the cell), crowded cells at l well below the cell,
+// degenerate cells, random overlapping rect sets on a continuous range and
 // on a lattice, and exact FR answers of a seeded 10k-object model at
 // consecutive ticks, queried on 4 threads.
 //
@@ -472,6 +474,183 @@ TEST(DifferentialTest, FrSweepKernelMatchesReferenceOn4096ObjectCell) {
     EXPECT_EQ(RectsMismatch(got, want), "") << "l=" << l;
     EXPECT_EQ(StatsMismatch(got_stats, want_stats), "") << "l=" << l;
   }
+}
+
+// SweepCell and SweepY against the reference on one cell: memcmp-equal
+// rects and segments, equal SweepStats. Returns the reference's rects.
+size_t ExpectKernelMatches(const Rect& cell, const std::vector<Vec2>& positions,
+                           double l, int64_t n_min, const std::string& where) {
+  SweepStats want_stats, got_stats;
+  const std::vector<Rect> want =
+      RefSweepCell(cell, positions, l, n_min, &want_stats);
+  const std::vector<Rect> got =
+      SweepCell(cell, positions, l, n_min, &got_stats);
+  EXPECT_EQ(RectsMismatch(got, want), "") << where;
+  EXPECT_EQ(StatsMismatch(got_stats, want_stats), "") << where;
+
+  std::vector<double> ys;
+  for (const Vec2& p : positions) ys.push_back(p.y);
+  std::sort(ys.begin(), ys.end());
+  SweepStats want_y, got_y;
+  const Intervals want_seg =
+      RefSweepY(ys, cell.y_lo, cell.y_hi, l, n_min, &want_y);
+  const Intervals got_seg = SweepY(ys, cell.y_lo, cell.y_hi, l, n_min, &got_y);
+  EXPECT_TRUE(got_seg.size() == want_seg.size() &&
+              (got_seg.empty() ||
+               std::memcmp(got_seg.data(), want_seg.data(),
+                           got_seg.size() * sizeof(got_seg[0])) == 0))
+      << where << "SweepY segments differ";
+  EXPECT_EQ(StatsMismatch(got_y, want_y), "") << where << "SweepY";
+  return want.size();
+}
+
+// l well below the cell, with up to 4096 objects: the band is a thin slice
+// of the cell while the boundary table holds every nearby object, so a
+// Y-sweep must visit only the band's boundaries to stay cheap — and must
+// still produce the reference's rects and counters exactly.
+TEST(DifferentialTest, FrSweepKernelMatchesReferenceOnCrowdedSmallLCells) {
+  Rng rng(2005);
+  const Rect cell(40.0, -30.0, 50.0, -20.0);
+  int64_t rects = 0;
+  for (double fraction : {0.05, 0.2, 0.5}) {
+    const double l = fraction * cell.Width();
+    // The reference sorts the whole band per strip, so above l = cell / 20
+    // it stops at 2048 objects to keep the lane quick under the
+    // sanitizers.
+    for (int n : {64, 512, fraction < 0.1 ? 4096 : 2048}) {
+      const bool lattice = n == 512;
+      const std::vector<Vec2> positions =
+          CollidingPositions(cell, l, n, lattice, &rng);
+      // Objects per l-square on average; thresholds around it.
+      const double mean = n * l * l /
+                          (cell.Expanded(l / 2).Width() *
+                           cell.Expanded(l / 2).Height());
+      std::vector<int64_t> thresholds = {
+          1, static_cast<int64_t>(n),
+          std::max<int64_t>(2, static_cast<int64_t>(mean * 2 + 1))};
+      if (n > 512) thresholds = {thresholds.back()};
+      for (int64_t n_min : thresholds) {
+        rects += static_cast<int64_t>(ExpectKernelMatches(
+            cell, positions, l, n_min,
+            "l=" + std::to_string(l) + " n=" + std::to_string(n) +
+                " n_min=" + std::to_string(n_min) + ": "));
+        if (HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(rects, 5000);  // the comparison is not vacuous
+}
+
+// Cases built for the boundary table's edges, on a quarter lattice so
+// coordinates tie exactly: cells shorter and taller than l and of zero
+// height or width; one object's entry on another's exit (oy + l == oy'
+// with l a multiple of 1/2, so oy + l/2 and oy' - l/2 are one double);
+// coincident ys (several members at one boundary); objects wholly below
+// the cell (exit <= y_lo: both indices 0) and wholly above (entry >= y_hi:
+// both indices E); n_min 1, 2, 3 and every position.
+TEST(DifferentialTest, FrSweepKernelMatchesReferenceOnBoundaryTableEdges) {
+  Rng rng(1907);
+  int entry_on_exit = 0, coincident = 0, below = 0, above = 0, degenerate = 0;
+  int64_t rects = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const double l = 0.5 * static_cast<double>(rng.UniformInt(1, 12));
+    const double x0 = 0.25 * static_cast<double>(rng.UniformInt(-40, 40));
+    const double y0 = 0.25 * static_cast<double>(rng.UniformInt(-40, 40));
+    const double width = 0.25 * static_cast<double>(rng.UniformInt(1, 40));
+    // Heights from below l to well above it; every 10th cell degenerate.
+    double height = l * std::vector<double>{0.25, 0.5, 1.0, 2.0, 4.0}
+                            [static_cast<size_t>(rng.UniformInt(0, 4))];
+    const bool zero_height = trial % 10 == 3;
+    const bool zero_width = trial % 10 == 7;
+    if (zero_height) height = 0;
+    const Rect cell(x0, y0, zero_width ? x0 : x0 + width, y0 + height);
+    degenerate += zero_height || zero_width;
+
+    const auto quarter = [&](double lo, double hi) {
+      return std::round(rng.Uniform(lo, hi) * 4) / 4;
+    };
+    const int n = static_cast<int>(rng.UniformInt(1, 60));
+    std::vector<Vec2> positions;
+    for (int i = 0; i < n; ++i) {
+      Vec2 p{quarter(cell.x_lo - l, cell.x_hi + l),
+             quarter(cell.y_lo - l, cell.y_hi + l)};
+      if (!positions.empty()) {
+        const Vec2 other = positions[static_cast<size_t>(
+            rng.UniformInt(0, positions.size() - 1))];
+        switch (rng.UniformInt(0, 5)) {
+          case 0:  // entry on another's exit, in y and in x
+            p = {other.x + l, other.y + l};
+            break;
+          case 1:  // same y
+            p.y = other.y;
+            break;
+          case 2:  // wholly below: oy + l/2 <= y_lo
+            p.y = cell.y_lo - l / 2 - 0.25 * rng.UniformInt(0, 4);
+            break;
+          case 3:  // wholly above: oy - l/2 >= y_hi
+            p.y = cell.y_hi + l / 2 + 0.25 * rng.UniformInt(0, 4);
+            break;
+          default:
+            break;
+        }
+      }
+      positions.push_back(p);
+    }
+    std::set<double> entries, exits;
+    std::map<double, int> ys;
+    for (const Vec2& p : positions) {
+      entries.insert(p.y - l / 2);
+      exits.insert(p.y + l / 2);
+      ++ys[p.y];
+      below += p.y + l / 2 <= cell.y_lo;
+      above += p.y - l / 2 >= cell.y_hi;
+    }
+    for (double e : entries) {
+      entry_on_exit += e > cell.y_lo && e < cell.y_hi && exits.count(e) > 0;
+    }
+    for (const auto& [y, count] : ys) coincident += count > 1;
+
+    for (int64_t n_min : {int64_t{1}, int64_t{2}, int64_t{3},
+                          static_cast<int64_t>(positions.size())}) {
+      rects += static_cast<int64_t>(ExpectKernelMatches(
+          cell, positions, l, n_min,
+          "trial " + std::to_string(trial) + " n_min=" +
+              std::to_string(n_min) + ": "));
+    }
+    if (HasFailure()) return;
+  }
+  // Every edge the lanes are for actually occurred.
+  EXPECT_GT(entry_on_exit, 100);
+  EXPECT_GT(coincident, 100);
+  EXPECT_GT(below, 100);
+  EXPECT_GT(above, 100);
+  EXPECT_EQ(degenerate, 120);
+  EXPECT_GT(rects, 10000);
+}
+
+// The kernel polls its QueryControl once per X-strip, before that strip's
+// Y-sweep: a token cancelled before the call stops SweepCell at the first
+// strip, before any rect, counter or event is produced, and SweepY before
+// its sweep.
+TEST(DifferentialTest, FrSweepKernelHonoursPreCancelledToken) {
+  const Rect cell(0, 0, 10, 10);
+  std::vector<Vec2> positions;
+  for (int i = 0; i < 40; ++i) positions.push_back({5.0 + 0.1 * i, 5.0});
+  ASSERT_FALSE(SweepCell(cell, positions, 4.0, 3).empty());
+  CancelToken token;
+  token.Cancel();
+  QueryControl ctl;
+  ctl.token = &token;
+  Counter& cells = MetricsRegistry::Global().GetCounter("pdr.sweep.cells");
+  const int64_t cells_before = cells.value();
+  SweepStats stats;
+  EXPECT_THROW(SweepCell(cell, positions, 4.0, 3, &stats, &ctl),
+               CancelledError);
+  EXPECT_EQ(StatsMismatch(stats, SweepStats{}), "");
+  EXPECT_EQ(cells.value(), cells_before);
+  EXPECT_THROW(SweepY({5.0, 5.0, 5.0}, 0.0, 10.0, 4.0, 3, &stats, &ctl),
+               CancelledError);
+  EXPECT_EQ(stats.y_strips, 0);
 }
 
 // Random rect sets: overlapping, nested, duplicated and edge-sharing.
