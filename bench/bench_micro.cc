@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -135,25 +136,24 @@ void BM_SweepCellSmallL(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCellSmallL)->Arg(512)->Arg(4096);
 
-// The plane sweep on the real candidate cells of the serving benchmark's
-// standing exact query: a seeded 10k-object trip model after U + 10 ticks,
-// queried 20 ticks ahead at varrho 3, l 30 (about 38 objects per cell),
-// each cell's positions gathered by its own range query as Section 5.3
-// refines it. One iteration sweeps one cell, cycling through all of them,
-// so the time is per cell.
-void BM_SweepCellTripModel(benchmark::State& state) {
-  struct Cell {
-    Rect rect;
-    std::vector<Vec2> positions;
-  };
-  constexpr int kObjects = 10000;
-  constexpr double kRho = 3.0 * kObjects / (kExtent * kExtent);
-  constexpr double kL = 30.0;
-  static const std::vector<Cell> cells = [] {
+// The real candidate cells of the serving benchmark's standing exact
+// query: a seeded 10k-object trip model after U + 10 ticks, queried 20
+// ticks ahead at varrho 3, l 30 (about 38 objects per cell), each cell's
+// positions gathered by its own range query as Section 5.3 refines it.
+struct TripCell {
+  Rect rect;
+  std::vector<Vec2> positions;
+};
+constexpr int kTripObjects = 10000;
+constexpr double kTripRho = 3.0 * kTripObjects / (kExtent * kExtent);
+constexpr double kTripL = 30.0;
+
+const std::vector<TripCell>& TripModelCells() {
+  static const std::vector<TripCell> cells = [] {
     constexpr Tick kU = 60;
     WorkloadConfig wc;
     wc.WithExtent(kExtent);
-    wc.num_objects = kObjects;
+    wc.num_objects = kTripObjects;
     wc.max_update_interval = kU;
     wc.seed = 1;
     const Dataset ds = GenerateDataset(wc, kU + 10);
@@ -165,17 +165,18 @@ void BM_SweepCellTripModel(benchmark::State& state) {
     ReplayInto(ds, -1, &fr);
     const Tick q_t = ds.duration() + 20;
     const Grid& grid = fr.histogram().grid();
-    const FilterResult filter = FilterCells(fr.histogram(), q_t, kRho, kL);
-    std::vector<Cell> out;
+    const FilterResult filter =
+        FilterCells(fr.histogram(), q_t, kTripRho, kTripL);
+    std::vector<TripCell> out;
     for (int flat = 0; flat < grid.cell_count(); ++flat) {
       const Rect rect = grid.CellRect(flat);
       if (filter.At(flat % grid.cells_per_side(),
                     flat / grid.cells_per_side()) != CellClass::kCandidate) {
         continue;
       }
-      Cell cell{rect, {}};
+      TripCell cell{rect, {}};
       for (const auto& [id, st] :
-           fr.index().RangeQuery(rect.Expanded(kL / 2), q_t)) {
+           fr.index().RangeQuery(rect.Expanded(kTripL / 2), q_t)) {
         (void)id;
         const Vec2 p = st.PositionAt(q_t);
         if (grid.InDomain(p)) cell.positions.push_back(p);
@@ -184,12 +185,20 @@ void BM_SweepCellTripModel(benchmark::State& state) {
     }
     return out;
   }();
-  const int64_t n_min = MinObjectsForDensity(kRho, kL);
+  return cells;
+}
+
+// The plane sweep on the trip model's candidate cells. One iteration sweeps
+// one cell, cycling through all of them, so the time is per cell.
+void BM_SweepCellTripModel(benchmark::State& state) {
+  const std::vector<TripCell>& cells = TripModelCells();
+  const int64_t n_min = MinObjectsForDensity(kTripRho, kTripL);
   size_t i = 0;
   int64_t objects = 0;
   for (auto _ : state) {
-    const Cell& cell = cells[i];
-    benchmark::DoNotOptimize(SweepCell(cell.rect, cell.positions, kL, n_min));
+    const TripCell& cell = cells[i];
+    benchmark::DoNotOptimize(
+        SweepCell(cell.rect, cell.positions, kTripL, n_min));
     objects += static_cast<int64_t>(cell.positions.size());
     if (++i == cells.size()) i = 0;
   }
@@ -198,6 +207,36 @@ void BM_SweepCellTripModel(benchmark::State& state) {
       static_cast<double>(objects) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SweepCellTripModel);
+
+// FR's merge on the trip model: Coalesced() of every candidate cell's
+// SweepCell rects, as they come (arg 0) or after FoldRepeatedStrips per
+// cell, which the engine runs before its merge (arg 1). The sweeps run
+// once, outside the timed loop; the fold is timed.
+void BM_FrMergeTripModel(benchmark::State& state) {
+  const bool fold = state.range(0) != 0;
+  const int64_t n_min = MinObjectsForDensity(kTripRho, kTripL);
+  static const std::vector<std::vector<Rect>> swept = [n_min] {
+    std::vector<std::vector<Rect>> out;
+    for (const TripCell& cell : TripModelCells()) {
+      out.push_back(SweepCell(cell.rect, cell.positions, kTripL, n_min));
+    }
+    return out;
+  }();
+  std::vector<Rect> rects;
+  size_t merged = 0;
+  for (auto _ : state) {
+    Region region;
+    for (const std::vector<Rect>& cell : swept) {
+      rects = cell;
+      if (fold) FoldRepeatedStrips(&rects);
+      for (const Rect& r : rects) region.Add(r);
+    }
+    merged = region.size();
+    benchmark::DoNotOptimize(region.Coalesced());
+  }
+  state.counters["merge_input_rects"] = static_cast<double>(merged);
+}
+BENCHMARK(BM_FrMergeTripModel)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Cheb2DEval(benchmark::State& state) {
   Cheb2D poly(5);
@@ -327,21 +366,32 @@ void BM_IntersectionArea(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectionArea);
 
-// The standing monitor's delta: RegionDifference between the coalesced FR
-// answers at two consecutive ticks of a seeded 10k-object model (twelve
-// drifting clusters over a uniform background).
+// The coalesced FR answers at two consecutive ticks (first the earlier) of
+// a seeded 10k-object model: twelve drifting clusters over a uniform
+// background.
+const std::pair<Region, Region>& ConsecutiveFrAnswers() {
+  static const std::pair<Region, Region> answers = [] {
+    constexpr int kObjects = 10000;
+    FrEngine fr(
+        {.extent = kExtent, .histogram_side = 100, .horizon = kHorizon});
+    Rng rng(10);
+    for (UpdateEvent e :
+         MakeClusteredInserts(kObjects, 12, kExtent, 40.0, 0.3, 10)) {
+      e.new_state->vel = {rng.Uniform(-1.5, 1.5), rng.Uniform(-1.5, 1.5)};
+      fr.Apply(e);
+    }
+    const double rho = 3.0 * kObjects / (kExtent * kExtent);
+    return std::pair<Region, Region>(
+        fr.Query(/*q_t=*/4, rho, /*l=*/30.0).region,
+        fr.Query(/*q_t=*/5, rho, /*l=*/30.0).region);
+  }();
+  return answers;
+}
+
+// One side of the standing monitor's delta: RegionDifference between the
+// two answers.
 void BM_RegionDifference(benchmark::State& state) {
-  constexpr int kObjects = 10000;
-  FrEngine fr({.extent = kExtent, .histogram_side = 100, .horizon = kHorizon});
-  Rng rng(10);
-  for (UpdateEvent e :
-       MakeClusteredInserts(kObjects, 12, kExtent, 40.0, 0.3, 10)) {
-    e.new_state->vel = {rng.Uniform(-1.5, 1.5), rng.Uniform(-1.5, 1.5)};
-    fr.Apply(e);
-  }
-  const double rho = 3.0 * kObjects / (kExtent * kExtent);
-  const Region previous = fr.Query(/*q_t=*/4, rho, /*l=*/30.0).region;
-  const Region current = fr.Query(/*q_t=*/5, rho, /*l=*/30.0).region;
+  const auto& [previous, current] = ConsecutiveFrAnswers();
   for (auto _ : state) {
     benchmark::DoNotOptimize(RegionDifference(current, previous));
   }
@@ -349,6 +399,18 @@ void BM_RegionDifference(benchmark::State& state) {
       static_cast<double>(previous.size() + current.size());
 }
 BENCHMARK(BM_RegionDifference)->Unit(benchmark::kMillisecond);
+
+// The whole delta as the monitor computes it: both differences from one
+// RegionDifferences sweep.
+void BM_RegionDifferences(benchmark::State& state) {
+  const auto& [previous, current] = ConsecutiveFrAnswers();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RegionDifferences(current, previous));
+  }
+  state.counters["rects"] =
+      static_cast<double>(previous.size() + current.size());
+}
+BENCHMARK(BM_RegionDifferences)->Unit(benchmark::kMillisecond);
 
 void BM_FilterCells(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));

@@ -150,15 +150,17 @@ else
 fi
 # Kernel series: bench_micro's rows for the kernels an exact or approx
 # tick spends its CPU in — the plane sweep on synthetic cells (l = 30 and
-# l = 1) and on the trip model's real candidate cells, Coalesced() and the
-# monitor delta, PA's dense-region search, and the end-to-end FR query.
+# l = 1) and on the trip model's real candidate cells, FR's merge of those
+# cells' rects without and with strip folding, Coalesced(), one side and
+# both sides of the monitor delta, PA's dense-region search, and the
+# end-to-end FR query.
 # Five repetitions; the JSON's median aggregate is what gets recorded.
 if ! wanted kernels; then
   :
 elif [[ -x "${build}/bench/bench_micro" ]]; then
   echo "==== bench_micro kernel rows ===="
   env -u PDR_FLIGHT_RECORDER "${build}/bench/bench_micro" \
-      --benchmark_filter='^(BM_SweepCell.*|BM_RegionCoalesce/.*|BM_RegionDifference|BM_ChebGridQueryDense|BM_FrQuery)$' \
+      --benchmark_filter='^(BM_SweepCell.*|BM_FrMergeTripModel/.*|BM_RegionCoalesce/.*|BM_RegionDifferences?|BM_ChebGridQueryDense|BM_FrQuery)$' \
       --benchmark_repetitions=5 \
       --benchmark_report_aggregates_only=true \
       --benchmark_format=json >"${tmpdir}/kernels.json"

@@ -68,6 +68,7 @@ class BxTree : public ObjectIndex {
 
   size_t size() const override { return tree_.size(); }
   size_t node_count() const override { return tree_.node_count(); }
+  int height() const override { return tree_.height(); }
   IoStats io_stats() const override { return pool_.stats(); }
   void ResetIoStats() override { pool_.ResetStats(); }
   void DropCaches() override { pool_.Clear(); }

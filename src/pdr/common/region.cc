@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 namespace pdr {
 namespace {
@@ -54,7 +55,7 @@ class ActiveIntervals {
   bool Empty() const { return intervals_.empty(); }
 
   /// Disjoint, non-touching sorted union of the active intervals, built
-  /// into a buffer the next call reuses.
+  /// into a buffer the next call reuses; LastUnion() returns it until then.
   const Intervals& MergedUnion() {
     merged_.clear();
     for (const Interval& iv : intervals_) {
@@ -67,6 +68,8 @@ class ActiveIntervals {
     return merged_;
   }
 
+  const Intervals& LastUnion() const { return merged_; }
+
   double UnionLength() {
     double len = 0;
     for (const auto& [lo, hi] : MergedUnion()) len += hi - lo;
@@ -78,9 +81,11 @@ class ActiveIntervals {
   Intervals merged_;
 };
 
-// Applies every event at coordinate `x` from events[*i] on, advancing *i.
-void ApplyEventsAt(const std::vector<XEvent>& events, double x, size_t* i,
+// Applies every event at coordinate `x` from events[*i] on, advancing *i;
+// true when there was one.
+bool ApplyEventsAt(const std::vector<XEvent>& events, double x, size_t* i,
                    ActiveIntervals* active) {
+  const size_t first = *i;
   for (; *i < events.size() && events[*i].x == x; ++*i) {
     const XEvent& e = events[*i];
     if (e.open) {
@@ -89,6 +94,7 @@ void ApplyEventsAt(const std::vector<XEvent>& events, double x, size_t* i,
       active->Remove(e.y_lo, e.y_hi);
     }
   }
+  return *i != first;
 }
 
 double MergedOverlapLength(const Intervals& a, const Intervals& b) {
@@ -161,27 +167,39 @@ Region Region::Coalesced() const {
 
 void SlabStitcher::Cut(double x, const Intervals& merged) {
   // Keep every open rect whose interval recurs exactly, close the others,
-  // open the new intervals. Open intervals are distinct and `merged` is
-  // sorted, so each open rect has at most one match, found by bisection.
-  continued_.assign(merged.size(), 0);
+  // open the new intervals. Both lists are disjoint and in y order, so
+  // y_lo orders them totally and one walk pairs them up.
   still_open_.clear();
+  closed_.clear();
+  size_t k = 0;
   for (const OpenRect& o : open_) {
-    const std::pair<double, double> iv(o.y_lo, o.y_hi);
-    const auto it = std::lower_bound(merged.begin(), merged.end(), iv);
-    const size_t k = static_cast<size_t>(it - merged.begin());
-    if (it != merged.end() && *it == iv && !continued_[k]) {
-      continued_[k] = 1;
-      still_open_.push_back(o);
-    } else if (x > o.x_start) {
-      out_.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
-    }
-  }
-  for (size_t k = 0; k < merged.size(); ++k) {
-    if (!continued_[k]) {
+    for (; k < merged.size() && merged[k].first < o.y_lo; ++k) {
       still_open_.push_back({x, merged[k].first, merged[k].second});
     }
+    if (k < merged.size() && merged[k].first == o.y_lo &&
+        merged[k].second == o.y_hi) {
+      still_open_.push_back(o);
+      ++k;
+    } else if (x > o.x_start) {
+      closed_.push_back(o);
+    }
+  }
+  for (; k < merged.size(); ++k) {
+    still_open_.push_back({x, merged[k].first, merged[k].second});
   }
   open_.swap(still_open_);
+  // Emit in (x_start, y_lo) order, the order an open list kept in
+  // insertion order holds: continued rects keep theirs, and rects opened
+  // at a later cut start at a larger x. Every output is then strictly
+  // increasing in (x_hi, x_lo, y_lo).
+  std::sort(closed_.begin(), closed_.end(),
+            [](const OpenRect& a, const OpenRect& b) {
+              return a.x_start < b.x_start ||
+                     (a.x_start == b.x_start && a.y_lo < b.y_lo);
+            });
+  for (const OpenRect& o : closed_) {
+    out_.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
+  }
 }
 
 Region SlabStitcher::Take() {
@@ -286,31 +304,42 @@ void IntervalIntersection(const Intervals& a, const Intervals& b,
   }
 }
 
-/// Shared slab sweep for constructive boolean operations: for each x-slab
-/// the combiner maps the two active interval unions to the result's
-/// intervals on that slab, which go straight to the stitcher. They are
+/// Shared slab sweep for constructive boolean operations: at every x
+/// where either region has an edge, slab(x, A, B) gets the two active
+/// interval unions, re-merged only on the side whose edges lie at x.
+/// IntervalDifference and IntervalIntersection map them to the result's
+/// intervals on that slab, which go straight to a stitcher. They are
 /// already sorted, disjoint and non-touching — what Coalesced's merged
 /// union of the per-slab rects would be — so the output is the rects
 /// Coalesced() of those per-slab rects returns, in the same order.
-template <typename Combiner>
-Region BooleanCombine(const Region& a, const Region& b,
-                      const Combiner& combine) {
+template <typename Slab>
+void BooleanCombine(const Region& a, const Region& b, const Slab& slab) {
   const std::vector<XEvent> ea = BuildEvents(a.rects());
   const std::vector<XEvent> eb = BuildEvents(b.rects());
   ActiveIntervals active_a;
   ActiveIntervals active_b;
-  SlabStitcher stitcher;
-  Intervals slab;
   size_t i = 0, j = 0;
   while (i < ea.size() || j < eb.size()) {
     const double x = std::min(
         i < ea.size() ? ea[i].x : std::numeric_limits<double>::infinity(),
         j < eb.size() ? eb[j].x : std::numeric_limits<double>::infinity());
-    ApplyEventsAt(ea, x, &i, &active_a);
-    ApplyEventsAt(eb, x, &j, &active_b);
-    combine(active_a.MergedUnion(), active_b.MergedUnion(), &slab);
-    stitcher.Cut(x, slab);
+    if (ApplyEventsAt(ea, x, &i, &active_a)) active_a.MergedUnion();
+    if (ApplyEventsAt(eb, x, &j, &active_b)) active_b.MergedUnion();
+    slab(x, active_a.LastUnion(), active_b.LastUnion());
   }
+}
+
+/// One constructive operation: `op` maps each slab's two unions to the
+/// result's intervals there, stitched into the output.
+template <typename IntervalOp>
+Region StitchCombined(const Region& a, const Region& b, const IntervalOp& op) {
+  SlabStitcher stitcher;
+  Intervals slab;
+  BooleanCombine(a, b,
+                 [&](double x, const Intervals& ua, const Intervals& ub) {
+                   op(ua, ub, &slab);
+                   stitcher.Cut(x, slab);
+                 });
   return stitcher.Take();
 }
 
@@ -319,12 +348,30 @@ Region BooleanCombine(const Region& a, const Region& b,
 Region RegionDifference(const Region& a, const Region& b) {
   if (a.IsEmpty()) return Region();
   if (b.IsEmpty()) return a.Coalesced();
-  return BooleanCombine(a, b, IntervalDifference);
+  return StitchCombined(a, b, IntervalDifference);
+}
+
+std::pair<Region, Region> RegionDifferences(const Region& a,
+                                            const Region& b) {
+  if (a.IsEmpty() || b.IsEmpty()) {
+    return {RegionDifference(a, b), RegionDifference(b, a)};
+  }
+  SlabStitcher a_minus_b;
+  SlabStitcher b_minus_a;
+  Intervals slab;
+  BooleanCombine(a, b,
+                 [&](double x, const Intervals& ua, const Intervals& ub) {
+                   IntervalDifference(ua, ub, &slab);
+                   a_minus_b.Cut(x, slab);
+                   IntervalDifference(ub, ua, &slab);
+                   b_minus_a.Cut(x, slab);
+                 });
+  return {a_minus_b.Take(), b_minus_a.Take()};
 }
 
 Region RegionIntersection(const Region& a, const Region& b) {
   if (a.IsEmpty() || b.IsEmpty()) return Region();
-  return BooleanCombine(a, b, IntervalIntersection);
+  return StitchCombined(a, b, IntervalIntersection);
 }
 
 double SymmetricDifferenceArea(const Region& a, const Region& b) {

@@ -10,6 +10,19 @@
 // module provides those measures with an x-sweep and 1-D interval merging,
 // plus normalization (coalescing into disjoint maximal rectangles) used to
 // keep reported answers small and canonical.
+//
+// Cost. Every operation sorts its rectangles' x-edges and walks the
+// resulting slabs. Per slab it re-merges the active y-intervals of each
+// side whose edges lie at that x, and stitches the slab's result onto the
+// open rectangles with one merge walk, so a slab of s intervals costs
+// O(active + s) and the whole operation
+// O(n log n + sum over slabs of (active + s)).
+//
+// Output order. Every constructive operation (Coalesced, RegionDifference,
+// RegionDifferences, RegionIntersection) emits its rectangles strictly
+// increasing in (x_hi, x_lo, y_lo): a rectangle is emitted when the slab
+// walk closes it, and the rectangles closed at one x in (x_lo, y_lo)
+// order.
 
 #ifndef PDR_COMMON_REGION_H_
 #define PDR_COMMON_REGION_H_
@@ -72,8 +85,11 @@ class SlabStitcher {
   using Intervals = std::vector<std::pair<double, double>>;
 
   /// Starts the slab at `x` whose y-union is `merged` (sorted, disjoint,
-  /// non-touching): open rectangles whose interval is gone close at `x`,
-  /// new intervals open there.
+  /// non-empty, non-touching): open rectangles whose interval is gone
+  /// close at `x`, new intervals open there. The open rectangles are the
+  /// previous slab's union, so one merge walk matches them against
+  /// `merged` on the exact (y_lo, y_hi) pair; the ones closed here are
+  /// emitted in (x_lo, y_lo) order.
   void Cut(double x, const Intervals& merged);
 
   /// The stitched rectangles; every slab must have been closed.
@@ -85,9 +101,9 @@ class SlabStitcher {
     double y_lo;
     double y_hi;
   };
-  std::vector<OpenRect> open_;
+  std::vector<OpenRect> open_;  // in y order
   std::vector<OpenRect> still_open_;
-  std::vector<char> continued_;
+  std::vector<OpenRect> closed_;
   Region out_;
 };
 
@@ -104,8 +120,13 @@ double DifferenceArea(const Region& a, const Region& b);
 double SymmetricDifferenceArea(const Region& a, const Region& b);
 
 /// The set difference (union of `a`) minus (union of `b`), as a coalesced
-/// region of disjoint rectangles. Backbone of continuous-query deltas.
+/// region of disjoint rectangles.
 Region RegionDifference(const Region& a, const Region& b);
+
+/// {RegionDifference(a, b), RegionDifference(b, a)} from one slab walk,
+/// which re-merges at each x only the side whose edges lie there: the
+/// backbone of continuous-query deltas (what appeared, what vanished).
+std::pair<Region, Region> RegionDifferences(const Region& a, const Region& b);
 
 /// The intersection (union of `a`) with (union of `b`), coalesced.
 Region RegionIntersection(const Region& a, const Region& b);

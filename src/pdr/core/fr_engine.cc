@@ -237,6 +237,7 @@ std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
   state->now = histogram_.now();
   state->index = options_.index;
   state->size = index_->size();
+  state->height = index_->height();
   switch (options_.index) {
     case IndexKind::kTprTree:
       state->tpr_root = static_cast<const TprTree&>(*index_).root();
@@ -367,6 +368,7 @@ FrEngine::QueryResult FrQueryCore(
       }
     }
     out.rects = SweepCell(cell, positions, l, n_min, &out.sweep, control);
+    FoldRepeatedStrips(&out.rects);
     FlightRecorder::Record(
         FrEvent::kCellEnd, FlightRecorder::Pack(c.col, c.row),
         FlightRecorder::Pack(out.objects, out.sweep.dense_rects));

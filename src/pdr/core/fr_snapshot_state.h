@@ -26,6 +26,7 @@ struct FrSnapshotState {
   PageId tpr_root = kInvalidPageId;  ///< valid when index == kTprTree
   BxTree::ReadView bx;               ///< valid when index == kBxTree
   uint64_t size = 0;                 ///< objects indexed at commit
+  int height = 0;                    ///< index root-to-leaf levels at commit
 };
 
 /// PaEngine analogue (the Chebyshev model's read path needs only the

@@ -3,6 +3,7 @@
 #include <future>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "pdr/fft/fft_engine.h"
@@ -174,8 +175,8 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
   }
 
   if (has_previous_) {
-    delta.appeared = RegionDifference(delta.current, previous_);
-    delta.vanished = RegionDifference(previous_, delta.current);
+    std::tie(delta.appeared, delta.vanished) =
+        RegionDifferences(delta.current, previous_);
   } else {
     delta.appeared = delta.current.Coalesced();
   }

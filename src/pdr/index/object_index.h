@@ -56,6 +56,9 @@ class ObjectIndex {
   /// Pages currently allocated to index nodes.
   virtual size_t node_count() const = 0;
 
+  /// Levels a root-to-leaf descent reads (1 = the root is a leaf).
+  virtual int height() const = 0;
+
   /// Buffer-pool statistics (drive the simulated I/O charge).
   virtual IoStats io_stats() const = 0;
   virtual void ResetIoStats() = 0;

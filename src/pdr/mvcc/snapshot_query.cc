@@ -38,6 +38,7 @@ class SnapshotIndexView : public ObjectIndex {
 
   size_t size() const override { return state_.size; }
   size_t node_count() const override { return 0; }
+  int height() const override { return state_.height; }
   IoStats io_stats() const override { return pool_.stats(); }
   void ResetIoStats() override { pool_.ResetStats(); }
   void DropCaches() override { pool_.Clear(); }

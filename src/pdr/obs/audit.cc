@@ -127,8 +127,8 @@ void ShadowAuditor::ProbeDensityError(Tick q_t, const Region& pa_region,
   // density. Probe a small lattice inside each rectangle of both
   // differences; the worst |PA − oracle| gap there is the pointwise error
   // the area metrics cannot see.
-  const Region false_rejects = RegionDifference(fr_region, pa_region);
-  const Region false_accepts = RegionDifference(pa_region, fr_region);
+  const auto [false_rejects, false_accepts] =
+      RegionDifferences(fr_region, pa_region);
   const int g = std::max(1, options_.probe_grid);
   int budget = std::max(1, options_.max_probes);
   double worst = 0.0;
@@ -213,11 +213,13 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
   }
 
   // Refinement fetches each 8-connected cluster of candidates with one
-  // range query over the box of its members' windows: one page for the
-  // root-to-leaf descent plus the pages holding the box's objects, their
-  // count estimated over the cluster's cell box grown by the expansive
-  // half-width, at the index's average entries per allocated page.
+  // range query over the box of its members' windows: one page per level
+  // for the root-to-leaf descent plus the pages holding the box's
+  // objects, their count estimated over the cluster's cell box grown by
+  // the expansive half-width, at the index's average entries per
+  // allocated page.
   const ObjectIndex& index = fr_->index();
+  const double descent = static_cast<double>(index.height());
   const double entries_per_page =
       index.node_count() > 0
           ? std::max(1.0, static_cast<double>(index.size()) /
@@ -227,7 +229,7 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
     const double box = static_cast<double>(
         sums.BoxSum(cluster.col_lo - exp_hw, cluster.row_lo - exp_hw,
                     cluster.col_hi + exp_hw, cluster.row_hi + exp_hw));
-    pred.io_reads += 1.0 + box / entries_per_page;
+    pred.io_reads += descent + box / entries_per_page;
   }
   // Charged at the physical rate, this is the cold-cache bound; the
   // calibration ratio itself compares logical page touches (cache state

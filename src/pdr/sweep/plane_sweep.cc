@@ -231,6 +231,33 @@ std::vector<std::pair<double, double>> SweepY(
   return segments;
 }
 
+void FoldRepeatedStrips(std::vector<Rect>* rects) {
+  std::vector<Rect>& r = *rects;
+  const auto same_runs = [&](size_t a, size_t b, size_t len) {
+    for (size_t k = 0; k < len; ++k) {
+      if (r[a + k].y_lo != r[b + k].y_lo || r[a + k].y_hi != r[b + k].y_hi) {
+        return false;
+      }
+    }
+    return true;
+  };
+  size_t kept = 0, kept_end = 0;  // the last kept strip, already compacted
+  size_t i = 0;
+  while (i < r.size()) {
+    size_t j = i + 1;
+    while (j < r.size() && r[j].x_lo == r[i].x_lo) ++j;
+    if (kept_end > kept && r[kept].x_hi == r[i].x_lo &&
+        kept_end - kept == j - i && same_runs(kept, i, j - i)) {
+      for (size_t k = kept; k < kept_end; ++k) r[k].x_hi = r[i].x_hi;
+    } else {
+      kept = kept_end;
+      for (size_t k = i; k < j; ++k) r[kept_end++] = r[k];
+    }
+    i = j;
+  }
+  r.resize(kept_end);
+}
+
 std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,
                             int64_t n_min, SweepStats* stats,

@@ -83,6 +83,17 @@ std::vector<Rect> SweepCell(const Rect& cell,
                             int64_t n_min, SweepStats* stats = nullptr,
                             const QueryControl* ctl = nullptr);
 
+/// Folds repeated X-strips of SweepCell's output in place, for the merge
+/// that follows. In that output consecutive rects with equal x_lo form one
+/// X-strip, its runs in increasing y. A strip folds into the previous kept
+/// strip when the kept strip's x_hi equals its x_lo and the two have the
+/// same (y_lo, y_hi) list: the kept rects' x_hi becomes this strip's and
+/// its own rects go. The result covers the same point set with fewer
+/// rects, so Region::Coalesced, canonical per point set, returns the same
+/// rects for it bit for bit. Strips with a gap between them or different
+/// run lists stay apart. Cost O(rects).
+void FoldRepeatedStrips(std::vector<Rect>* rects);
+
 /// Y-sweep over one band (Algorithm 3), exposed for testing: given the
 /// sorted y-coordinates of the band's members, returns maximal dense
 /// segments [y_lo, y_hi) within [y_b, y_t). It is one X-strip of

@@ -120,8 +120,7 @@ class TprTree : public ObjectIndex {
   /// Number of indexed objects.
   size_t size() const override { return leaf_of_.size(); }
 
-  /// Root-to-leaf height (1 = root is a leaf).
-  int height() const { return height_; }
+  int height() const override { return height_; }
 
   size_t node_count() const override { return node_count_; }
 

@@ -74,6 +74,10 @@ TEST(BxTreeTest, MatchesBruteForceOnUniformWorkload) {
     tree.Insert(e.id, *e.new_state);
     reference[e.id] = *e.new_state;
   }
+  // A range query descends the B+-tree: the index reports its height.
+  const ObjectIndex& index = tree;
+  EXPECT_GT(index.height(), 1);
+  EXPECT_EQ(index.height(), tree.btree().height());
   Rng rng(112);
   for (Tick t : {0, 7, 15, 20}) {
     for (int q = 0; q < 8; ++q) {

@@ -15,8 +15,14 @@
 // window's edges, one object's entry on another's exit, objects wholly
 // above or below the cell), crowded cells at l well below the cell,
 // degenerate cells, random overlapping rect sets on a continuous range and
-// on a lattice, and exact FR answers of a seeded 10k-object model at
-// consecutive ticks, queried on 4 threads.
+// on a lattice, Klee's-measure edge cases, x-edges at extreme values, and
+// exact FR answers of a seeded 10k-object model at consecutive ticks,
+// queried on 4 threads. The reference stitches with its own bisecting
+// stitcher, so the library's merge-walk SlabStitcher is checked too;
+// RegionDifferences must return the reference's two differences, and
+// every constructive output must be strictly increasing in
+// (x_hi, x_lo, y_lo). FoldRepeatedStrips must leave Coalesced() of a
+// cell's sweep output unchanged bit for bit.
 //
 // FR's grouped fetch (one range query per cluster of adjacent candidate
 // cells, bucketed by grid cell) is checked the same way against the
@@ -34,6 +40,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -205,10 +212,50 @@ double Length(const Intervals& ivs) {
   return len;
 }
 
+// The straightforward stitcher: open rects kept in insertion order, each
+// matched against the slab's union by bisection, the closed ones emitted
+// in that order.
+class RefStitcher {
+ public:
+  void Cut(double x, const Intervals& merged) {
+    std::vector<char> continued(merged.size(), 0);
+    std::vector<OpenRect> still_open;
+    for (const OpenRect& o : open_) {
+      const std::pair<double, double> iv(o.y_lo, o.y_hi);
+      const auto it = std::lower_bound(merged.begin(), merged.end(), iv);
+      const size_t k = static_cast<size_t>(it - merged.begin());
+      if (it != merged.end() && *it == iv && !continued[k]) {
+        continued[k] = 1;
+        still_open.push_back(o);
+      } else if (x > o.x_start) {
+        out_.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
+      }
+    }
+    for (size_t k = 0; k < merged.size(); ++k) {
+      if (!continued[k]) {
+        still_open.push_back({x, merged[k].first, merged[k].second});
+      }
+    }
+    open_ = std::move(still_open);
+  }
+
+  Region Take() {
+    EXPECT_TRUE(open_.empty());
+    return std::move(out_);
+  }
+
+ private:
+  struct OpenRect {
+    double x_start, y_lo, y_hi;
+  };
+  std::vector<OpenRect> open_;
+  Region out_;
+};
+
 Region RefCoalesced(const Region& region) {
   const std::vector<RefXEvent> events = RefXEvents(region.rects());
   RefActive active;
-  SlabStitcher stitcher;
+  RefStitcher stitcher;
   size_t i = 0;
   while (i < events.size()) {
     const double x = events[i].x;
@@ -653,6 +700,175 @@ TEST(DifferentialTest, FrSweepKernelHonoursPreCancelledToken) {
   EXPECT_EQ(stats.y_strips, 0);
 }
 
+// --- Folding repeated strips ------------------------------------------------
+
+// FoldRepeatedStrips on one cell's SweepCell output: Coalesced() of the
+// folded rects memcmp-equals Coalesced() of the unfolded ones, every strip
+// left (a run of equal x_lo) shares one x_hi, and no two touching adjacent
+// strips still carry equal run lists. Returns the rects folded away.
+size_t ExpectFoldMatches(const std::vector<Rect>& rects,
+                         const std::string& where) {
+  std::vector<Rect> folded = rects;
+  FoldRepeatedStrips(&folded);
+  EXPECT_EQ(RectsMismatch(Region(folded).Coalesced().rects(),
+                          Region(rects).Coalesced().rects()),
+            "")
+      << where << "Coalesced of folded vs unfolded";
+  size_t prev = 0, prev_end = 0;
+  for (size_t i = 0; i < folded.size();) {
+    size_t j = i + 1;
+    while (j < folded.size() && folded[j].x_lo == folded[i].x_lo) ++j;
+    for (size_t k = i; k < j; ++k) {
+      EXPECT_EQ(folded[k].x_hi, folded[i].x_hi) << where << "strip at " << i;
+    }
+    bool repeats = prev_end > prev && folded[prev].x_hi == folded[i].x_lo &&
+                   prev_end - prev == j - i;
+    for (size_t k = 0; repeats && k < j - i; ++k) {
+      repeats = folded[prev + k].y_lo == folded[i + k].y_lo &&
+                folded[prev + k].y_hi == folded[i + k].y_hi;
+    }
+    EXPECT_FALSE(repeats) << where << "strip at " << i << " still repeats";
+    prev = i;
+    prev_end = j;
+    i = j;
+  }
+  return rects.size() - folded.size();
+}
+
+// Hand-built strips: three touching strips with equal runs fold into one;
+// a strip after a gap, a strip whose runs are a prefix of the previous
+// strip's, one that extends the previous list, and one with as many runs
+// but one moved stay apart; a lone strip and an empty list pass through.
+TEST(DifferentialTest, FoldRepeatedStripsFoldsOnlyTouchingEqualStrips) {
+  std::vector<Rect> rects = {
+      {0, 0, 1, 2}, {0, 3, 1, 4},  // [0, 1): (0, 2) (3, 4)
+      {1, 0, 2, 2}, {1, 3, 2, 4},  // [1, 2): the same runs, touching
+      {2, 0, 3, 2}, {2, 3, 3, 4},  // [2, 3): again
+      {4, 0, 5, 2}, {4, 3, 5, 4},  // [4, 5): the same runs after a gap
+      {5, 0, 6, 2},                // [5, 6): a prefix of them
+      {6, 0, 7, 2}, {6, 3, 7, 4},  // [6, 7): extends the prefix
+      {7, 0, 8, 2}, {7, 3, 8, 5},  // [7, 8): as many runs, one moved
+  };
+  const std::vector<Rect> want = {
+      {0, 0, 3, 2}, {0, 3, 3, 4}, {4, 0, 5, 2}, {4, 3, 5, 4}, {5, 0, 6, 2},
+      {6, 0, 7, 2}, {6, 3, 7, 4}, {7, 0, 8, 2}, {7, 3, 8, 5},
+  };
+  EXPECT_EQ(ExpectFoldMatches(rects, "hand-built: "), 4u);
+  FoldRepeatedStrips(&rects);
+  EXPECT_EQ(RectsMismatch(rects, want), "");
+
+  std::vector<Rect> lone = {{0, 0, 1, 2}, {0, 3, 1, 4}};
+  FoldRepeatedStrips(&lone);
+  EXPECT_EQ(RectsMismatch(lone, {{0, 0, 1, 2}, {0, 3, 1, 4}}), "");
+  std::vector<Rect> none;
+  FoldRepeatedStrips(&none);
+  EXPECT_TRUE(none.empty());
+}
+
+// SweepCell's own output on the kernel lanes' cells — colliding, crowded
+// small-l, boundary-table lattice — and on every candidate cell of a
+// seeded 10k-object trip model, as FR refines them. n_min <= 0 returns the
+// whole cell, which passes through unchanged.
+TEST(DifferentialTest, FoldRepeatedStripsKeepsCoalescedOnSweptCells) {
+  Rng rng(2020);
+  size_t rects = 0, folded = 0;
+  const auto check = [&](const Rect& cell, const std::vector<Vec2>& positions,
+                         double l, int64_t n_min, const std::string& where) {
+    const std::vector<Rect> out = SweepCell(cell, positions, l, n_min);
+    rects += out.size();
+    folded += ExpectFoldMatches(out, where);
+  };
+  for (int trial = 0; trial < 600; ++trial) {  // colliding
+    const bool lattice = trial % 2 == 1;
+    const double w = lattice ? static_cast<double>(rng.UniformInt(1, 16))
+                             : rng.Uniform(0.5, 20.0);
+    const Rect cell(0, 0, w, w);
+    double l = w * rng.Uniform(0.2, 4.0);
+    if (lattice) l = std::max(0.5, std::round(l * 2) / 2);
+    const std::vector<Vec2> positions = CollidingPositions(
+        cell, l, static_cast<int>(rng.UniformInt(0, 160)), lattice, &rng);
+    check(cell, positions, l, rng.UniformInt(1, 12),
+          "colliding trial " + std::to_string(trial) + ": ");
+  }
+  for (double fraction : {0.05, 0.2, 0.5}) {  // crowded, small l
+    const Rect cell(40.0, -30.0, 50.0, -20.0);
+    const double l = fraction * cell.Width();
+    const std::vector<Vec2> positions =
+        CollidingPositions(cell, l, 1024, /*lattice=*/fraction == 0.2, &rng);
+    for (int64_t n_min : {1, 2, 4}) {
+      check(cell, positions, l, n_min,
+            "crowded l=" + std::to_string(l) + ": ");
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {  // boundary-table lattice
+    const double l = 0.5 * static_cast<double>(rng.UniformInt(1, 12));
+    const double side = 0.25 * static_cast<double>(rng.UniformInt(1, 40));
+    const Rect cell(0, 0, side, side);
+    std::vector<Vec2> positions;
+    for (int i = 0; i < 60; ++i) {
+      positions.push_back(
+          {std::round(rng.Uniform(-l, side + l) * 4) / 4,
+           std::round(rng.Uniform(-l, side + l) * 4) / 4});
+      if (i > 0 && rng.Bernoulli(0.3)) {
+        positions.push_back({positions[i - 1].x + l, positions[i - 1].y + l});
+      }
+    }
+    check(cell, positions, l, rng.UniformInt(1, 3),
+          "lattice trial " + std::to_string(trial) + ": ");
+  }
+
+  // The trip model FR refines in the standing exact workload.
+  constexpr int kObjects = 10000;
+  constexpr double kExtent = 1000.0;
+  constexpr double kL = 30.0;
+  WorkloadConfig config;
+  config.WithExtent(kExtent);
+  config.num_objects = kObjects;
+  config.seed = 20;
+  TripSimulator sim(config);
+  FrEngine fr({.extent = kExtent, .histogram_side = 100, .horizon = 120});
+  for (const UpdateEvent& e : sim.Bootstrap()) fr.Apply(e);
+  for (Tick t = 1; t <= 10; ++t) {
+    fr.AdvanceTo(t);
+    for (const UpdateEvent& e : sim.Advance(t)) fr.Apply(e);
+  }
+  const double rho = 3.0 * kObjects / (kExtent * kExtent);
+  const Tick q_t = 30;
+  const Grid& grid = fr.histogram().grid();
+  const FilterResult filter = FilterCells(fr.histogram(), q_t, rho, kL);
+  size_t trip_cells = 0, trip_folded = 0;
+  for (int row = 0; row < grid.cells_per_side(); ++row) {
+    for (int col = 0; col < grid.cells_per_side(); ++col) {
+      if (filter.At(col, row) != CellClass::kCandidate) continue;
+      const Rect cell = grid.CellRect(col, row);
+      std::vector<Vec2> positions;
+      for (const auto& [id, state] :
+           fr.index().RangeQuery(cell.Expanded(kL / 2), q_t)) {
+        (void)id;
+        const Vec2 p = state.PositionAt(q_t);
+        if (grid.InDomain(p)) positions.push_back(p);
+      }
+      const size_t before = folded;
+      check(cell, positions, kL, MinObjectsForDensity(rho, kL),
+            "trip cell " + std::to_string(col) + "," + std::to_string(row) +
+                ": ");
+      trip_folded += folded - before;
+      ++trip_cells;
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(trip_cells, 1000u);
+  EXPECT_GT(trip_folded, 1000u);  // the trip model's strips do repeat
+  EXPECT_GT(rects, 20000u);
+  EXPECT_GT(folded, rects / 10);
+
+  // n_min <= 0: the whole cell, one rect, unchanged.
+  const Rect cell(1, 2, 3, 4);
+  std::vector<Rect> whole = SweepCell(cell, {}, 1.0, 0);
+  FoldRepeatedStrips(&whole);
+  EXPECT_EQ(RectsMismatch(whole, {cell}), "");
+}
+
 // Random rect sets: overlapping, nested, duplicated and edge-sharing.
 Region RandomRects(int n, bool lattice, Rng* rng) {
   Region out;
@@ -671,22 +887,52 @@ Region RandomRects(int n, bool lattice, Rng* rng) {
   return out;
 }
 
+// The order every constructive operation emits: strictly increasing in
+// (x_hi, x_lo, y_lo).
+std::string OrderViolation(const std::vector<Rect>& rects) {
+  for (size_t i = 1; i < rects.size(); ++i) {
+    const Rect& p = rects[i - 1];
+    const Rect& r = rects[i];
+    if (!(std::tie(p.x_hi, p.x_lo, p.y_lo) < std::tie(r.x_hi, r.x_lo, r.y_lo))) {
+      return "rect " + std::to_string(i) + " out of (x_hi, x_lo, y_lo) order";
+    }
+  }
+  return "";
+}
+
+// Coalesced, both differences (alone and from one RegionDifferences call,
+// in both argument orders) and the intersection against the reference,
+// memcmp-equal, each in emission order.
+void ExpectConstructiveOpsMatch(const Region& a, const Region& b,
+                                const std::string& where) {
+  const Region a_minus_b = RefRegionDifference(a, b);
+  const Region b_minus_a = RefRegionDifference(b, a);
+  const auto [ab_first, ab_second] = RegionDifferences(a, b);
+  const auto [ba_first, ba_second] = RegionDifferences(b, a);
+  const struct {
+    const char* name;
+    Region got;
+    Region want;
+  } ops[] = {
+      {"Coalesced", a.Coalesced(), RefCoalesced(a)},
+      {"a \\ b", RegionDifference(a, b), a_minus_b},
+      {"b \\ a", RegionDifference(b, a), b_minus_a},
+      {"RegionDifferences(a, b).first", ab_first, a_minus_b},
+      {"RegionDifferences(a, b).second", ab_second, b_minus_a},
+      {"RegionDifferences(b, a).first", ba_first, b_minus_a},
+      {"RegionDifferences(b, a).second", ba_second, a_minus_b},
+      {"a ∩ b", RegionIntersection(a, b), RefRegionIntersection(a, b)},
+  };
+  for (const auto& op : ops) {
+    EXPECT_EQ(RectsMismatch(op.got.rects(), op.want.rects()), "")
+        << where << op.name;
+    EXPECT_EQ(OrderViolation(op.got.rects()), "") << where << op.name;
+  }
+}
+
 void ExpectRegionOpsMatch(const Region& a, const Region& b,
                           const std::string& where) {
-  EXPECT_EQ(RectsMismatch(a.Coalesced().rects(), RefCoalesced(a).rects()), "")
-      << where << "Coalesced";
-  EXPECT_EQ(RectsMismatch(RegionDifference(a, b).rects(),
-                          RefRegionDifference(a, b).rects()),
-            "")
-      << where << "a \\ b";
-  EXPECT_EQ(RectsMismatch(RegionDifference(b, a).rects(),
-                          RefRegionDifference(b, a).rects()),
-            "")
-      << where << "b \\ a";
-  EXPECT_EQ(RectsMismatch(RegionIntersection(a, b).rects(),
-                          RefRegionIntersection(a, b).rects()),
-            "")
-      << where << "a ∩ b";
+  ExpectConstructiveOpsMatch(a, b, where);
   EXPECT_TRUE(SameBits(a.Area(), RefUnionArea(a))) << where << "Area";
   EXPECT_TRUE(SameBits(IntersectionArea(a, b), RefIntersectionArea(a, b)))
       << where << "IntersectionArea";
@@ -706,6 +952,144 @@ TEST(DifferentialTest, RegionOpsMatchReferenceOnRandomRectSets) {
     if (HasFailure()) return;
   }
   EXPECT_GT(rects, 10000);
+}
+
+// Klee's-measure edge cases: an empty region on either side or both,
+// equal regions, nesting both ways, disjoint rects, rects touching along
+// x and along y, overlaps, and zero-width or zero-height rects, which
+// Region drops. The union areas are the known ones.
+TEST(DifferentialTest, RegionOpsMatchReferenceOnEdgeCases) {
+  const Region none;
+  const Region box({Rect(5, 5, 10, 15)});
+  const Region inner({Rect(6, 6, 8, 9)});
+  const Region disjoint({Rect(5, 5, 10, 10), Rect(15, 10, 25, 15)});
+  const Region far({Rect(15, 10, 25, 15)});
+  const Region left({Rect(5, 5, 10, 10)});
+  const Region right({Rect(10, 5, 15, 10)});
+  const Region above({Rect(5, 10, 10, 15)});
+  const Region neighbors({Rect(5, 5, 10, 10), Rect(10, 5, 15, 10)});
+  const Region overlapping({Rect(2, -1, 3, 6), Rect(0, 0, 5, 5),
+                            Rect(4, 4, 6, 6), Rect(10, 10, 12, 10.5)});
+  const Region on_x({Rect(5, 0, 10, 5), Rect(5, 10, 10, 15),
+                     Rect(6, 4, 8, 11)});
+  const Region flat({Rect(0, 0, 5, 5), Rect(0, 1, 0, 2), Rect(7, 7, 7, 7),
+                     Rect(1, 3, 4, 3)});
+  EXPECT_EQ(flat.size(), 1u);
+  EXPECT_EQ(none.Area(), 0.0);
+  EXPECT_EQ(box.Area(), 50.0);
+  EXPECT_EQ(Region({Rect(5, 5, 10, 15), Rect(6, 6, 8, 9)}).Area(), 50.0);
+  EXPECT_EQ(disjoint.Area(), 75.0);
+  EXPECT_EQ(neighbors.Area(), 50.0);
+  EXPECT_EQ(overlapping.Area(), 31.0);
+  EXPECT_EQ(on_x.Area(), 60.0);
+  EXPECT_EQ(flat.Area(), 25.0);
+  EXPECT_EQ(RectsMismatch(neighbors.Coalesced().rects(), {Rect(5, 5, 15, 10)}),
+            "");
+
+  const struct {
+    const char* name;
+    const Region& a;
+    const Region& b;
+  } cases[] = {
+      {"empty a", none, box},
+      {"empty b", box, none},
+      {"both empty", none, none},
+      {"a == b", box, box},
+      {"b nested in a", box, inner},
+      {"a nested in b", inner, box},
+      {"disjoint", box, far},
+      {"touching along x", left, right},
+      {"touching along y", left, above},
+      {"neighbors vs one", neighbors, left},
+      {"overlapping", overlapping, on_x},
+      {"zero width and height", flat, box},
+      {"self-overlapping a", overlapping, overlapping},
+  };
+  for (const auto& c : cases) {
+    ExpectRegionOpsMatch(c.a, c.b, std::string(c.name) + ": ");
+    ExpectRegionOpsMatch(c.b, c.a, std::string(c.name) + " (swapped): ");
+  }
+  const auto [gone, none_left] = RegionDifferences(box, box);
+  EXPECT_TRUE(gone.IsEmpty());
+  EXPECT_TRUE(none_left.IsEmpty());
+  const auto [from_none, all] = RegionDifferences(none, overlapping);
+  EXPECT_TRUE(from_none.IsEmpty());
+  EXPECT_EQ(RectsMismatch(all.rects(), overlapping.Coalesced().rects()), "");
+}
+
+// x-edges at extreme values must give the reference's answers too: only
+// two distinct values, a lattice, ranges near the largest finite double
+// (and one whose width overflows to infinity), ranges a few ulps wide,
+// and denormal ranges. ±0.0 edges compare equal, and the sign a slab
+// takes from either sort is unspecified, so that case compares values.
+TEST(DifferentialTest, RegionOpsMatchReferenceOnExtremeXEdges) {
+  Rng rng(2121);
+  // n rects with x edges drawn by x() and y in [0, 100).
+  const auto region = [&](int n, const auto& x) {
+    Region out;
+    for (int i = 0; i < n; ++i) {
+      const double x0 = x(), x1 = x();
+      const double y = rng.Uniform(0, 90);
+      out.Add(Rect(std::min(x0, x1), y, std::max(x0, x1),
+                   y + rng.Uniform(1, 10)));
+    }
+    return out;
+  };
+  const auto scaled = [&](double lo, double hi) {
+    return [&, lo, hi] { return lo + (hi - lo) * rng.Uniform(0, 1); };
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::string where = "trial " + std::to_string(trial) + ": ";
+    // Two x values: every rect that is not empty is [0, 1) in x.
+    const auto two = [&] { return static_cast<double>(rng.UniformInt(0, 1)); };
+    ExpectRegionOpsMatch(region(100, two), region(100, two), where + "two x: ");
+    const auto lattice = [&] { return 0.5 * rng.UniformInt(0, 40); };
+    ExpectRegionOpsMatch(region(200, lattice), region(150, lattice),
+                         where + "lattice: ");
+    // Huge ranges: finite width, then one that overflows to infinity.
+    ExpectRegionOpsMatch(region(40, scaled(-1e300, 1e300)),
+                         region(40, scaled(-1e300, 1e300)),
+                         where + "range 2e300: ");
+    const auto extreme = [&] {
+      return std::numeric_limits<double>::max() * rng.Uniform(-1, 1);
+    };
+    ExpectConstructiveOpsMatch(region(40, extreme), region(40, extreme),
+                               where + "range overflows: ");
+    // Tiny ranges: a few ulps above 1, and denormal widths.
+    const auto ulps = [&] {
+      return 1.0 + std::numeric_limits<double>::epsilon() * rng.UniformInt(0, 6);
+    };
+    ExpectRegionOpsMatch(region(40, ulps), region(40, ulps),
+                         where + "range of ulps: ");
+    for (double width : {1e-300, 1e-310}) {
+      ExpectRegionOpsMatch(region(40, scaled(0, width)),
+                           region(40, scaled(0, width)),
+                           where + (width > 1e-305 ? "range 1e-300: "
+                                                   : "range 1e-310: "));
+    }
+    if (HasFailure()) return;
+  }
+
+  // ±0.0: the same point sets, compared by value.
+  const auto signed_zero = [&] {
+    const double v[] = {-0.0, 0.0, -1.0, 1.0, rng.Uniform(-1, 1)};
+    return v[rng.UniformInt(0, 4)];
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const Region a = region(100, signed_zero), b = region(100, signed_zero);
+    const auto same_values = [&](const Region& got, const Region& want) {
+      return got.rects() == want.rects();
+    };
+    const auto [ab, ba] = RegionDifferences(a, b);
+    EXPECT_TRUE(same_values(a.Coalesced(), RefCoalesced(a))) << trial;
+    EXPECT_TRUE(same_values(ab, RefRegionDifference(a, b))) << trial;
+    EXPECT_TRUE(same_values(ba, RefRegionDifference(b, a))) << trial;
+    EXPECT_TRUE(same_values(RegionIntersection(a, b),
+                            RefRegionIntersection(a, b)))
+        << trial;
+    EXPECT_EQ(OrderViolation(ab.rects()), "") << trial;
+    EXPECT_EQ(a.Area(), RefUnionArea(a)) << trial;
+  }
 }
 
 // The reference assembly of one FR answer: the engine's own filter and
