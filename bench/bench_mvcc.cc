@@ -97,8 +97,7 @@ RunResult RunMvcc(const Dataset& ds, const bench::BenchEnv& env,
   for (Tick now = 0; now <= ds.duration(); ++now) {
     engine.AdvanceTo(now);
     for (const UpdateEvent& e : ds.ticks[now]) engine.Apply(e);
-    engine.PrepareCommit();
-    snapshots.Commit({engine.CaptureState(), nullptr});
+    engine.Commit();
     out.commits += 1;
     out.updates += static_cast<int64_t>(ds.ticks[now].size());
     if (readers < 0) {

@@ -94,14 +94,6 @@ void ChebGrid::AddSquare(Tick t, Vec2 center, double height) {
                                (overlap.x_hi - cell.x_lo) * sx - 1.0,
                                (overlap.y_lo - cell.y_lo) * sy - 1.0,
                                (overlap.y_hi - cell.y_lo) * sy - 1.0, height);
-      if (!dirty_mark_.empty()) {
-        const uint32_t key =
-            static_cast<uint32_t>(SlotOf(t) * grid_.cell_count() + flat);
-        if (!dirty_mark_[key]) {
-          dirty_mark_[key] = 1;
-          dirty_keys_.push_back(key);
-        }
-      }
     }
   }
 }
@@ -230,20 +222,12 @@ class BnbSearch {
 Region ChebGrid::QueryDense(Tick t, double rho, int eval_grid,
                             BnbStats* stats, ThreadPool* pool,
                             const QueryControl* ctl) const {
-  return QueryDenseOverSlice(options_, grid_, Slice(t), rho, eval_grid, stats,
-                             pool, ctl);
-}
-
-Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
-                                     const std::vector<Cheb2D>& slice,
-                                     double rho, int eval_grid,
-                                     BnbStats* stats, ThreadPool* pool,
-                                     const QueryControl* ctl) {
-  assert(eval_grid >= options.grid_side);
+  assert(eval_grid >= options_.grid_side);
   // Leaf resolution: eval_grid cells across the whole domain => normalized
   // edge 2 * g / eval_grid inside one macro-cell.
   const double min_edge_norm =
-      2.0 * static_cast<double>(options.grid_side) / eval_grid;
+      2.0 * static_cast<double>(options_.grid_side) / eval_grid;
+  const std::vector<Cheb2D>& slice = Slice(t);
   static Counter& bnb_nodes =
       MetricsRegistry::Global().GetCounter("pdr.pa.bnb_nodes");
   static Counter& bnb_pruned =
@@ -256,7 +240,7 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
   // Each macro-cell's search writes its own rects and counters; cell
   // rects are concatenated in cell order below, so serial and parallel
   // execution build the identical rectangle sequence before Coalesced().
-  const int cell_count = grid.cell_count();
+  const int cell_count = grid_.cell_count();
   std::vector<std::vector<Rect>> cell_out(static_cast<size_t>(cell_count));
   std::vector<BnbStats> cell_stats(static_cast<size_t>(cell_count));
 
@@ -267,7 +251,7 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
     if (poly.IsZero() && rho > 0) {
       ++cs.pruned_boxes;
     } else {
-      BnbSearch(poly, grid.CellRect(static_cast<int>(cell)), rho,
+      BnbSearch(poly, grid_.CellRect(static_cast<int>(cell)), rho,
                 min_edge_norm, &cell_out[static_cast<size_t>(cell)], &cs, ctl)
           .Run();
     }

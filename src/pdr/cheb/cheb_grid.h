@@ -91,17 +91,6 @@ class ChebGrid {
                     BnbStats* stats = nullptr, ThreadPool* pool = nullptr,
                     const QueryControl* ctl = nullptr) const;
 
-  /// The branch-and-bound search over an explicit slice of g^2 cell
-  /// expansions — the body of QueryDense, exposed so an MVCC snapshot
-  /// query can run it against a materialized frozen slice
-  /// (src/pdr/mvcc/versioned_cheb.h) with the exact same code path.
-  static Region QueryDenseOverSlice(const Options& options, const Grid& grid,
-                                    const std::vector<Cheb2D>& slice,
-                                    double rho, int eval_grid,
-                                    BnbStats* stats = nullptr,
-                                    ThreadPool* pool = nullptr,
-                                    const QueryControl* ctl = nullptr);
-
   /// The paper's "trivial approach": evaluate the density at the centers
   /// of an eval_grid x eval_grid lattice and report dense lattice cells.
   Region QueryDenseGridScan(Tick t, double rho, int eval_grid,
@@ -119,28 +108,6 @@ class ChebGrid {
   /// Direct slice access for tests (cell index = row * g + col).
   const Cheb2D& CellPoly(Tick t, int cell) const;
 
-  // --- MVCC hooks (src/pdr/mvcc/versioned_cheb.h) -----------------------
-  // Versioning is per (slot, cell) expansion: key = slot * g^2 + cell.
-
-  /// Starts recording which cell expansions Apply touches.
-  void EnableDirtyTracking() {
-    dirty_mark_.assign(slices_.size() * grid_.cell_count(), 0);
-  }
-  bool dirty_tracking() const { return !dirty_mark_.empty(); }
-
-  /// Drains the dirty (slot, cell) keys accumulated since the last call.
-  void TakeDirtyCells(std::vector<uint32_t>* out) {
-    for (const uint32_t key : dirty_keys_) dirty_mark_[key] = 0;
-    out->swap(dirty_keys_);
-    dirty_keys_.clear();
-  }
-
-  int slots() const { return static_cast<int>(slices_.size()); }
-  Tick slot_tick(int slot) const { return slot_tick_[slot]; }
-  const std::vector<Cheb2D>& SlotSlice(int slot) const {
-    return slices_[slot];
-  }
-
  private:
   int SlotOf(Tick t) const {
     return static_cast<int>(t % static_cast<Tick>(slices_.size()));
@@ -153,8 +120,6 @@ class ChebGrid {
   Tick now_ = 0;
   std::vector<std::vector<Cheb2D>> slices_;  // (H+1) x g^2 expansions
   std::vector<Tick> slot_tick_;
-  std::vector<uint8_t> dirty_mark_;  // empty until EnableDirtyTracking
-  std::vector<uint32_t> dirty_keys_;
 };
 
 }  // namespace pdr

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "pdr/bx/bx_tree.h"
 #include "pdr/core/fr_snapshot_state.h"
@@ -221,18 +222,15 @@ FrEngine::QueryResult FrEngine::Query(Tick q_t, double rho, double l,
                      ctl);
 }
 
-void FrEngine::PrepareCommit() {
+uint64_t FrEngine::Commit() {
   if (versioned_pager_ == nullptr) {
-    throw std::logic_error("FrEngine::PrepareCommit: snapshots not enabled");
+    throw std::logic_error("FrEngine::Commit: snapshots not enabled");
   }
   // Flush first: the buffer pool may hold dirty tree pages the pager has
   // never seen, and a published epoch must be the complete tree image.
   index_->FlushBufferPool();
   versioned_pager_->PublishDirty();
   vhist_->PublishDirty();
-}
-
-std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
   auto state = std::make_shared<FrSnapshotState>();
   state->now = histogram_.now();
   state->index = options_.index;
@@ -246,7 +244,7 @@ std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
       state->bx = static_cast<const BxTree&>(*index_).read_view();
       break;
   }
-  return state;
+  return options_.snapshots->Commit(std::move(state));
 }
 
 FrEngine::QueryResult FrQueryCore(

@@ -47,7 +47,6 @@
 namespace pdr {
 
 class ThreadPool;
-struct FrSnapshotState;
 
 namespace mvcc {
 class SnapshotManager;
@@ -81,12 +80,12 @@ class FrEngine {
     std::string storage_dir;
     /// Crash-fault injection for the durable store (tests only; not owned).
     FaultInjector* fault_injector = nullptr;
-    /// Non-null: the engine participates in MVCC snapshot reads — the
-    /// index runs over a copy-on-write VersionedPager, the histogram
-    /// records dirty rows, and PrepareCommit()/CaptureState() publish a
-    /// consistent frozen view per SnapshotManager::Commit (DESIGN.md
-    /// §14). Mutually exclusive with storage_dir (std::invalid_argument).
-    /// Not owned; must outlive the engine.
+    /// Non-null: the engine serves MVCC snapshot reads — the index runs
+    /// over a copy-on-write VersionedPager, the histogram records dirty
+    /// rows, and each Commit() publishes a consistent frozen view as one
+    /// epoch of this manager (DESIGN.md §14). Mutually exclusive with
+    /// storage_dir (std::invalid_argument). Not owned; must outlive the
+    /// engine.
     mvcc::SnapshotManager* snapshots = nullptr;
   };
 
@@ -174,17 +173,15 @@ class FrEngine {
   /// answer exactly as the engine that wrote the last checkpoint did).
   bool recovered() const { return index_->recovered(); }
 
-  // --- MVCC commit hooks (Options.snapshots non-null; writer thread) ----
+  // --- MVCC (Options.snapshots non-null) ---------------------------------
 
-  /// Publishes every block dirtied since the last commit (flushes the
-  /// index's buffer pool, then copies dirty pages and histogram rows into
-  /// their version stores at the open epoch). Call immediately before
-  /// SnapshotManager::Commit; throws std::logic_error without snapshots.
-  void PrepareCommit();
-
-  /// The frozen scalar state (clock, index root, read-view) to hand to
-  /// SnapshotManager::Commit as EpochStates::fr.
-  std::shared_ptr<const FrSnapshotState> CaptureState() const;
+  /// Commits the engine's current state as the next epoch of its
+  /// SnapshotManager and returns that epoch. Flushes the index's buffer
+  /// pool, copies the pages and histogram rows dirtied since the last
+  /// commit into their version stores, freezes the scalar state (clock,
+  /// index root, read view) and publishes it. Writer thread only; throws
+  /// std::logic_error when the engine was built without snapshots.
+  uint64_t Commit();
 
   mvcc::SnapshotManager* snapshots() const { return options_.snapshots; }
   const mvcc::VersionedPager* versioned_pager() const {

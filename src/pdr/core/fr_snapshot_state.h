@@ -1,10 +1,10 @@
-// Per-engine scalar state frozen into an MVCC commit.
+// The exact engine's scalar state frozen into an MVCC commit.
 //
-// A commit publishes copy-on-write versions of the bulk data (index
-// pages, histogram rows, Chebyshev cells) *and* one immutable struct of
-// everything else a query reads: the logical clock, the index root, and
-// the B^x read-path parameters. The SnapshotManager carries these as
-// opaque shared_ptrs (mvcc::EpochStates); the snapshot query path
+// FrEngine::Commit() publishes copy-on-write versions of the bulk data
+// (index pages, histogram rows) *and* one immutable struct of everything
+// else a query reads: the logical clock, the index root, and the B^x
+// read-path parameters. The SnapshotManager carries it as an opaque
+// shared_ptr (mvcc::Snapshot::state()); the snapshot query path
 // (src/pdr/mvcc/snapshot_query.h) casts back here.
 
 #ifndef PDR_CORE_FR_SNAPSHOT_STATE_H_
@@ -19,7 +19,7 @@
 namespace pdr {
 
 /// Everything FrEngine's read path consumes besides versioned blocks,
-/// frozen at commit time by FrEngine::CaptureState().
+/// frozen at commit time by FrEngine::Commit().
 struct FrSnapshotState {
   Tick now = 0;                      ///< engine clock at commit
   IndexKind index = IndexKind::kTprTree;
@@ -27,12 +27,6 @@ struct FrSnapshotState {
   BxTree::ReadView bx;               ///< valid when index == kBxTree
   uint64_t size = 0;                 ///< objects indexed at commit
   int height = 0;                    ///< index root-to-leaf levels at commit
-};
-
-/// PaEngine analogue (the Chebyshev model's read path needs only the
-/// clock; grid geometry and degree are construction-time constants).
-struct PaSnapshotState {
-  Tick now = 0;
 };
 
 }  // namespace pdr

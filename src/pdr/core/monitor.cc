@@ -292,18 +292,6 @@ void PdrMonitor::RequireConcurrent(const char* op) const {
   }
 }
 
-uint64_t PdrMonitor::CommitEpoch() {
-  mvcc::EpochStates states;
-  engine_->PrepareCommit();
-  states.fr = engine_->CaptureState();
-  if (fallback_ != nullptr &&
-      fallback_->snapshots() == engine_->snapshots()) {
-    fallback_->PrepareCommit();
-    states.pa = fallback_->CaptureState();
-  }
-  return engine_->snapshots()->Commit(std::move(states));
-}
-
 uint64_t PdrMonitor::StartConcurrent() {
   RequireConcurrent("StartConcurrent");
   // Log the (empty) initial commit too: the replayer re-derives one
@@ -313,7 +301,7 @@ uint64_t PdrMonitor::StartConcurrent() {
     recorder_->OnCommit(engine_->now(), {},
                         engine_->snapshots()->open_epoch());
   }
-  return CommitEpoch();
+  return engine_->Commit();
 }
 
 uint64_t PdrMonitor::ApplyUpdates(Tick now,
@@ -321,11 +309,6 @@ uint64_t PdrMonitor::ApplyUpdates(Tick now,
   RequireConcurrent("ApplyUpdates");
   engine_->AdvanceTo(now);
   for (const UpdateEvent& u : updates) engine_->Apply(u);
-  if (fallback_ != nullptr &&
-      fallback_->snapshots() == engine_->snapshots()) {
-    fallback_->AdvanceTo(now);
-    for (const UpdateEvent& u : updates) fallback_->Apply(u);
-  }
   // Log the batch *before* Commit publishes its epoch: a reader can pin
   // epoch E and record its answer the instant Commit returns, and the
   // replayer requires every epoch's updates record to precede every tick
@@ -333,7 +316,7 @@ uint64_t PdrMonitor::ApplyUpdates(Tick now,
   if (recorder_ != nullptr) {
     recorder_->OnCommit(now, updates, engine_->snapshots()->open_epoch());
   }
-  return CommitEpoch();
+  return engine_->Commit();
 }
 
 PdrMonitor::Delta PdrMonitor::MakeSnapshotDelta(

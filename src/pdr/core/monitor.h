@@ -227,9 +227,11 @@ class PdrMonitor {
   // (FrEngine::Options::snapshots). One writer thread drives
   // ApplyUpdates; any number of reader threads call RunSnapshotQuery
   // concurrently — the writer never blocks on them, and every answer is
-  // bit-identical to serialized execution at its pinned epoch
-  // (tests/mvcc_interleave_test.cc). OnTick stays available for
-  // single-threaded/serialized use but must not race ApplyUpdates.
+  // exact and bit-identical to serialized execution at its pinned epoch
+  // (tests/mvcc_interleave_test.cc). Only the FR engine is versioned:
+  // attached FFT/PA rungs serve OnTick, never snapshot reads. OnTick
+  // stays available for single-threaded/serialized use but must not race
+  // ApplyUpdates.
 
   /// Commits the engine's current state as the first epoch so readers
   /// can pin before any updates arrive. Writer thread. Returns the
@@ -237,12 +239,11 @@ class PdrMonitor {
   /// snapshots enabled.
   uint64_t StartConcurrent();
 
-  /// Writer-thread tick: advances the engine (and the PA fallback, when
-  /// one is attached with snapshots) to `now`, applies the batch, and
-  /// commits it as one epoch. Records the batch + epoch to an attached
-  /// WorkloadRecorder *before* the commit publishes, so a concurrent
-  /// capture always logs an epoch's updates before any query pinned to
-  /// it. Returns the committed epoch.
+  /// Writer-thread tick: advances the FR engine to `now`, applies the
+  /// batch, and commits it as one epoch (FrEngine::Commit). Records the
+  /// batch + epoch to an attached WorkloadRecorder *before* the commit
+  /// publishes, so a concurrent capture always logs an epoch's updates
+  /// before any query pinned to it. Returns the committed epoch.
   uint64_t ApplyUpdates(Tick now, const std::vector<UpdateEvent>& updates);
 
   /// Reader-thread query: pins the latest committed epoch, runs the
@@ -265,7 +266,6 @@ class PdrMonitor {
 
  private:
   void RequireConcurrent(const char* op) const;  // throws std::logic_error
-  uint64_t CommitEpoch();
   ThreadPool* PoolForTick();  // null when the policy is serial
   ResilientExecutor* ExecutorForTick();   // null when the ladder is inactive
   AdmissionController* AdmissionForTick();  // null when admission is off

@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "pdr/core/fr_snapshot_state.h"
-#include "pdr/mvcc/snapshot_manager.h"
-#include "pdr/mvcc/versioned_cheb.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
@@ -31,28 +28,9 @@ const PaEngine::Options& Validated(const PaEngine::Options& options) {
 PaEngine::PaEngine(const Options& options)
     : options_(Validated(options)),
       model_({options.extent, options.poly_side, options.degree,
-              options.horizon, options.l}) {
-  if (options_.snapshots != nullptr) {
-    model_.EnableDirtyTracking();
-    vcheb_ = std::make_unique<mvcc::VersionedChebModel>(&model_,
-                                                        options_.snapshots);
-  }
-}
+              options.horizon, options.l}) {}
 
 PaEngine::~PaEngine() = default;
-
-void PaEngine::PrepareCommit() {
-  if (vcheb_ == nullptr) {
-    throw std::logic_error("PaEngine::PrepareCommit: snapshots not enabled");
-  }
-  vcheb_->PublishDirty();
-}
-
-std::shared_ptr<const PaSnapshotState> PaEngine::CaptureState() const {
-  auto state = std::make_shared<PaSnapshotState>();
-  state->now = model_.now();
-  return state;
-}
 
 void PaEngine::SetExecPolicy(const ExecPolicy& exec) {
   options_.exec = exec;

@@ -21,12 +21,6 @@
 namespace pdr {
 
 class ThreadPool;
-struct PaSnapshotState;
-
-namespace mvcc {
-class SnapshotManager;
-class VersionedChebModel;
-}  // namespace mvcc
 
 class PaEngine {
  public:
@@ -38,10 +32,6 @@ class PaEngine {
     double l = 30.0;      ///< fixed l-square edge (Section 6 limitation)
     int eval_grid = 1000; ///< m_d: finest branch-and-bound resolution
     ExecPolicy exec;      ///< serial by default; see SetExecPolicy
-    /// Non-null: the engine versions its Chebyshev cells for MVCC
-    /// snapshot reads (PrepareCommit/CaptureState; DESIGN.md §14). Not
-    /// owned; must outlive the engine.
-    mvcc::SnapshotManager* snapshots = nullptr;
   };
 
   /// Throws std::invalid_argument on options the model cannot hold: a
@@ -89,29 +79,12 @@ class PaEngine {
   const ChebGrid& model() const { return model_; }
   const Options& options() const { return options_; }
 
-  // --- MVCC commit hooks (Options.snapshots non-null; writer thread) ----
-
-  /// Publishes every Chebyshev cell dirtied since the last commit into
-  /// the version store at the open epoch. Call immediately before
-  /// SnapshotManager::Commit; throws std::logic_error without snapshots.
-  void PrepareCommit();
-
-  /// The frozen scalar state (clock) to hand to SnapshotManager::Commit
-  /// as EpochStates::pa.
-  std::shared_ptr<const PaSnapshotState> CaptureState() const;
-
-  mvcc::SnapshotManager* snapshots() const { return options_.snapshots; }
-  const mvcc::VersionedChebModel* versioned_cheb() const {
-    return vcheb_.get();
-  }
-
  private:
   ThreadPool* PoolForQuery();  // null when the policy is serial
   void ValidateQt(Tick q_t) const;  // throws HorizonError
 
   Options options_;
   ChebGrid model_;
-  std::unique_ptr<mvcc::VersionedChebModel> vcheb_;
   std::unique_ptr<ThreadPool> pool_;  // created lazily on first parallel query
 };
 

@@ -142,13 +142,15 @@ Dataset ReadDataset(std::istream& is) {
   if (num_ticks > (1u << 24)) {
     throw std::runtime_error("implausible tick count (corrupt file)");
   }
-  dataset.ticks.resize(num_ticks);
-  for (auto& batch : dataset.ticks) {
+  // Both counts are unchecked claims until their records arrive, so the
+  // vectors grow as records are read: a few corrupt bytes cannot size a
+  // gigabyte allocation before truncation is detected.
+  for (uint32_t t = 0; t < num_ticks; ++t) {
+    std::vector<UpdateEvent>& batch = dataset.ticks.emplace_back();
     const uint32_t count = Get<uint32_t>(is);
     if (count > (1u << 28)) {
       throw std::runtime_error("implausible batch size (corrupt file)");
     }
-    batch.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       UpdateEvent e;
       e.tick = Get<Tick>(is);

@@ -40,10 +40,10 @@ Snapshot& Snapshot::operator=(Snapshot&& other) noexcept {
     Release();
     manager_ = other.manager_;
     epoch_ = other.epoch_;
-    states_ = std::move(other.states_);
+    state_ = std::move(other.state_);
     other.manager_ = nullptr;
     other.epoch_ = 0;
-    other.states_ = {};
+    other.state_ = nullptr;
   }
   return *this;
 }
@@ -52,7 +52,7 @@ void Snapshot::Release() {
   if (manager_ != nullptr) {
     manager_->Unpin(epoch_);
     manager_ = nullptr;
-    states_ = {};
+    state_ = nullptr;
   }
 }
 
@@ -69,14 +69,14 @@ void SnapshotManager::UnregisterStore(ReclaimableStore* store) {
                 stores_.end());
 }
 
-Epoch SnapshotManager::Commit(EpochStates states) {
+Epoch SnapshotManager::Commit(std::shared_ptr<const void> state) {
   Epoch committed = 0;
   Epoch min_pin = 0;
   std::vector<ReclaimableStore*> stores;
   {
     std::lock_guard<std::mutex> lock(mu_);
     committed = committed_.load(std::memory_order_relaxed) + 1;
-    states_[committed] = std::move(states);
+    states_[committed] = std::move(state);
     committed_.store(committed, std::memory_order_release);
     min_pin = pins_.empty() ? committed
                             : std::min(pins_.begin()->first, committed);
@@ -106,14 +106,14 @@ Snapshot SnapshotManager::Pin() {
         "SnapshotManager::Pin: no committed epoch (call Commit first)");
   }
   ++pins_[epoch];
-  EpochStates states = states_.at(epoch);
+  std::shared_ptr<const void> state = states_.at(epoch);
   const auto active = static_cast<double>(pins_.size());
   lock.unlock();
 
   auto& m = MvccMetrics::Get();
   m.pins->Increment();
   m.active_pins->Set(active);
-  return Snapshot(this, epoch, std::move(states));
+  return Snapshot(this, epoch, std::move(state));
 }
 
 void SnapshotManager::Unpin(Epoch epoch) {

@@ -1,26 +1,26 @@
 // Epoch pinning and commit sequencing for MVCC snapshot reads.
 //
-// The SnapshotManager owns the epoch clock shared by every versioned
-// store (pages, histogram rows, Chebyshev cells). The protocol
-// (DESIGN.md §14):
+// The SnapshotManager owns the epoch clock shared by the exact engine's
+// versioned stores (index pages, histogram rows). The protocol
+// (DESIGN.md §14), driven by FrEngine::Commit() on the writer side:
 //
 //   writer (one thread)              readers (any thread)
 //   ----------------------------     -----------------------------
 //   mutate live structures           snap = manager.Pin()
-//   publish dirty copies at E+1        -> epoch E, frozen EpochStates
-//   manager.Commit(states)  // E+1   read version chains at epoch E
+//   publish dirty copies at E+1        -> epoch E, frozen state
+//   manager.Commit(state)   // E+1   read version chains at epoch E
 //     bump committed epoch           snap destructor releases the pin
 //     reclaim below min pin
 //
 // Pinning takes a mutex for bookkeeping only (a map increment, a state
-// handle copy — microseconds); the data plane — every page, histogram
-// row and polynomial a query reads — goes through lock-free atomic
-// version-chain loads. Writers therefore never wait on readers: commits
-// proceed at full rate while arbitrarily slow queries hold arbitrarily
-// old epochs, paying only the memory to keep those versions alive.
+// handle copy — microseconds); the data plane — every page and histogram
+// row a query reads — goes through lock-free atomic version-chain loads.
+// Writers therefore never wait on readers: commits proceed at full rate
+// while arbitrarily slow queries hold arbitrarily old epochs, paying only
+// the memory to keep those versions alive.
 //
-// EpochStates carries the per-engine scalar state frozen at each commit
-// (clock, index root, read-path parameters) as opaque shared_ptrs, so
+// Each commit carries the engine's scalar state frozen at that instant
+// (clock, index root, read-path parameters) as one opaque shared_ptr, so
 // this layer stays free of core/index dependencies.
 
 #ifndef PDR_MVCC_SNAPSHOT_MANAGER_H_
@@ -40,14 +40,6 @@ namespace mvcc {
 
 class SnapshotManager;
 
-/// The frozen per-engine scalar state published with a commit. The
-/// pointers are opaque here; FrEngine/PaEngine cast back to their own
-/// snapshot-state structs (core/fr_snapshot_state.h).
-struct EpochStates {
-  std::shared_ptr<const void> fr;
-  std::shared_ptr<const void> pa;
-};
-
 /// A pinned epoch: movable RAII handle. While alive, every version
 /// visible at its epoch stays resolvable; the destructor releases the
 /// pin (unblocking reclamation of the epoch once it is the oldest).
@@ -62,19 +54,24 @@ class Snapshot {
 
   bool valid() const { return manager_ != nullptr; }
   Epoch epoch() const { return epoch_; }
-  const EpochStates& states() const { return states_; }
+  /// The scalar state frozen by the commit this snapshot pins; the
+  /// snapshot query path casts it back to FrSnapshotState
+  /// (core/fr_snapshot_state.h). Null once released, or when that commit
+  /// published none.
+  const void* state() const { return state_.get(); }
 
   /// Releases the pin early (idempotent).
   void Release();
 
  private:
   friend class SnapshotManager;
-  Snapshot(SnapshotManager* manager, Epoch epoch, EpochStates states)
-      : manager_(manager), epoch_(epoch), states_(std::move(states)) {}
+  Snapshot(SnapshotManager* manager, Epoch epoch,
+           std::shared_ptr<const void> state)
+      : manager_(manager), epoch_(epoch), state_(std::move(state)) {}
 
   SnapshotManager* manager_ = nullptr;
   Epoch epoch_ = 0;
-  EpochStates states_;
+  std::shared_ptr<const void> state_;
 };
 
 class SnapshotManager {
@@ -84,8 +81,9 @@ class SnapshotManager {
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  /// Registers a versioned store for commit-time reclamation (setup /
-  /// writer thread; typically called from engine constructors).
+  /// Registers a version store for commit-time reclamation (setup /
+  /// writer thread; VersionedPager and VersionedHistogram register theirs
+  /// on construction).
   void RegisterStore(ReclaimableStore* store);
   void UnregisterStore(ReclaimableStore* store);
 
@@ -103,10 +101,11 @@ class SnapshotManager {
     return floor_.load(std::memory_order_acquire);
   }
 
-  /// Publishes `states` as epoch committed+1, bumps the committed epoch,
-  /// then reclaims every version no surviving pin can reach. Single
-  /// writer thread. Returns the epoch just committed.
-  Epoch Commit(EpochStates states);
+  /// Publishes `state` (the engine's frozen scalar state, opaque here) as
+  /// epoch committed+1, bumps the committed epoch, then reclaims every
+  /// version no surviving pin can reach. Single writer thread
+  /// (FrEngine::Commit). Returns the epoch just committed.
+  Epoch Commit(std::shared_ptr<const void> state);
 
   /// Pins the latest committed epoch. Any thread. Throws std::logic_error
   /// before the first Commit.
@@ -128,7 +127,8 @@ class SnapshotManager {
   std::atomic<Epoch> committed_{0};
   std::atomic<Epoch> floor_{1};
   std::map<Epoch, int> pins_;
-  std::map<Epoch, EpochStates> states_;  // epochs >= floor keep theirs
+  // Epochs >= floor keep their frozen state.
+  std::map<Epoch, std::shared_ptr<const void>> states_;
   std::vector<ReclaimableStore*> stores_;
 };
 

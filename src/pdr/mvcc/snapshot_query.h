@@ -1,5 +1,6 @@
-// Snapshot reads: run the engines' exact query cores against a pinned
-// epoch while the writer keeps committing.
+// Snapshot reads: run the exact engine's query core against a pinned
+// epoch while the writer keeps committing. Only FR is versioned, so a
+// snapshot answer is always exact.
 //
 // A snapshot FR query builds a private read stack — SnapshotPager over
 // the frozen page versions, its own BufferPool, a SnapshotIndexView
@@ -20,7 +21,6 @@
 #define PDR_MVCC_SNAPSHOT_QUERY_H_
 
 #include "pdr/core/fr_engine.h"
-#include "pdr/core/pa_engine.h"
 #include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/resilience/deadline.h"
 
@@ -28,12 +28,12 @@ namespace pdr {
 namespace mvcc {
 
 /// The engine clock frozen in `snap` (what "now" was at its commit).
-/// Throws std::logic_error when the snapshot is invalid or carries no FR
-/// state.
+/// Throws std::logic_error when the snapshot is invalid or carries no
+/// frozen state.
 Tick SnapshotFrNow(const Snapshot& snap);
 
 /// Exact snapshot PDR query against the pinned epoch. `engine` must be
-/// the engine whose commits produced `snap` (its SnapshotManager); only
+/// the engine whose FrEngine::Commit() calls produced `snap`; only
 /// its immutable version stores and construction-time options are read,
 /// so the writer may mutate and commit concurrently. Validates q_t
 /// against [snap now, snap now + H] (HorizonError). `ctl` works exactly
@@ -41,13 +41,6 @@ Tick SnapshotFrNow(const Snapshot& snap);
 FrEngine::QueryResult SnapshotFrQuery(const FrEngine& engine,
                                       const Snapshot& snap, Tick q_t,
                                       double rho, double l,
-                                      const QueryControl& ctl = {});
-
-/// Approximate (PA) snapshot query at the pinned epoch; the PA analogue
-/// of SnapshotFrQuery.
-PaEngine::QueryResult SnapshotPaQuery(const PaEngine& engine,
-                                      const Snapshot& snap, Tick q_t,
-                                      double rho,
                                       const QueryControl& ctl = {});
 
 }  // namespace mvcc

@@ -2,8 +2,8 @@
 // snapshot reads (DESIGN.md §14).
 //
 // A VersionStore<Block> maps a dense integer key space (page ids,
-// histogram rows, Chebyshev cells) to per-key chains of immutable block
-// versions, each tagged with the epoch that committed it. The write side
+// histogram rows) to per-key chains of immutable block versions, each
+// tagged with the epoch that committed it. The write side
 // is single-threaded (the update stream): at commit the writer copies
 // every block it dirtied out of the live structure and Publishes the copy
 // at the epoch being committed. Readers never touch live state — a query
@@ -60,7 +60,7 @@ namespace mvcc {
 /// is 1 (the genesis snapshot published when concurrent mode starts).
 using Epoch = uint64_t;
 
-/// What the SnapshotManager needs from every versioned store at commit:
+/// What the SnapshotManager needs from every version store at commit:
 /// cut chains below the reclaim floor and report version-count gauges.
 class ReclaimableStore {
  public:

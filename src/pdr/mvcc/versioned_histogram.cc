@@ -12,11 +12,11 @@ VersionedHistogram::VersionedHistogram(DensityHistogram* live,
       m_(live->grid().cells_per_side()),
       slots_(live->slots()),
       versions_(static_cast<size_t>(slots_) * static_cast<size_t>(m_)) {
-  manager_->RegisterStore(this);
+  manager_->RegisterStore(&versions_);
 }
 
 VersionedHistogram::~VersionedHistogram() {
-  manager_->UnregisterStore(this);
+  manager_->UnregisterStore(&versions_);
 }
 
 void VersionedHistogram::PublishDirty() {
@@ -32,7 +32,6 @@ void VersionedHistogram::PublishDirty() {
     block->counts.assign(slice.begin() + static_cast<size_t>(row) * m_,
                          slice.begin() + static_cast<size_t>(row + 1) * m_);
     versions_.Publish(key, epoch, std::move(block));
-    ++published_;
   }
   scratch_keys_.clear();
 }

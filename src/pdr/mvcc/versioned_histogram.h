@@ -28,12 +28,13 @@
 namespace pdr {
 namespace mvcc {
 
-class VersionedHistogram : public ReclaimableStore {
+class VersionedHistogram {
  public:
   /// `live` must outlive this wrapper and have dirty tracking enabled
-  /// before its first Apply. Registers with `manager` (not owned).
+  /// before its first Apply. Registers its version store with `manager`
+  /// (not owned).
   VersionedHistogram(DensityHistogram* live, SnapshotManager* manager);
-  ~VersionedHistogram() override;
+  ~VersionedHistogram();
 
   /// Copies every dirty live row into the version store at the open
   /// epoch. Writer thread only, immediately before Commit.
@@ -44,17 +45,6 @@ class VersionedHistogram : public ReclaimableStore {
   /// horizon window; out-of-window ticks would alias a recycled slot.
   std::vector<DensityHistogram::Counter> MaterializeSlice(Epoch epoch,
                                                           Tick q_t) const;
-
-  // ReclaimableStore.
-  void ReclaimBelow(Epoch min_pin) override {
-    versions_.ReclaimBelow(min_pin);
-  }
-  int64_t live_versions() const override { return versions_.live_versions(); }
-  int64_t retired_versions() const override {
-    return versions_.retired_versions();
-  }
-
-  int64_t published_rows() const { return published_; }
 
  private:
   struct Row {
@@ -68,7 +58,6 @@ class VersionedHistogram : public ReclaimableStore {
   const int slots_;  // horizon + 1
   VersionStore<Row> versions_;
   std::vector<uint32_t> scratch_keys_;
-  int64_t published_ = 0;
 };
 
 }  // namespace mvcc

@@ -17,11 +17,11 @@ constexpr size_t kMaxVersionedPages = size_t{1} << 22;
 
 VersionedPager::VersionedPager(SnapshotManager* manager)
     : manager_(manager), versions_(kMaxVersionedPages) {
-  if (manager_ != nullptr) manager_->RegisterStore(this);
+  if (manager_ != nullptr) manager_->RegisterStore(&versions_);
 }
 
 VersionedPager::~VersionedPager() {
-  if (manager_ != nullptr) manager_->UnregisterStore(this);
+  if (manager_ != nullptr) manager_->UnregisterStore(&versions_);
 }
 
 void VersionedPager::Free(PageId id) {
@@ -51,7 +51,6 @@ void VersionedPager::PublishDirty() {
     version->epoch = epoch;
     version->checksum = ComputePageChecksum(version->page, id, epoch);
     versions_.Publish(id, epoch, std::move(version));
-    ++published_;
   }
   dirty_.clear();
   for (const PageId id : freed_) {

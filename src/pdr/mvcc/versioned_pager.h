@@ -40,9 +40,10 @@ struct VersionedPage {
   uint64_t checksum = 0;  ///< ComputePageChecksum(page, id, epoch)
 };
 
-class VersionedPager : public Pager, public ReclaimableStore {
+class VersionedPager : public Pager {
  public:
-  /// Registers with `manager` (not owned) for commit-time reclamation.
+  /// Registers its version store with `manager` (not owned) for
+  /// commit-time reclamation.
   explicit VersionedPager(SnapshotManager* manager);
   ~VersionedPager() override;
 
@@ -69,18 +70,6 @@ class VersionedPager : public Pager, public ReclaimableStore {
     return versions_.Resolve(id, epoch);
   }
 
-  // ReclaimableStore.
-  void ReclaimBelow(Epoch min_pin) override {
-    versions_.ReclaimBelow(min_pin);
-  }
-  int64_t live_versions() const override { return versions_.live_versions(); }
-  int64_t retired_versions() const override {
-    return versions_.retired_versions();
-  }
-
-  /// Pages copied into versions over the pager's lifetime.
-  int64_t published_pages() const { return published_; }
-
  private:
   SnapshotManager* manager_;
   MemPager mem_;
@@ -88,7 +77,6 @@ class VersionedPager : public Pager, public ReclaimableStore {
   std::vector<PageId> dirty_;       // insertion order, deduped via dirty_set_
   std::vector<uint8_t> dirty_set_;  // indexed by PageId
   std::unordered_set<PageId> freed_;
-  int64_t published_ = 0;
 };
 
 /// Read-only Pager over the versions visible at one pinned epoch. Each

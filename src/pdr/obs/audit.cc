@@ -10,6 +10,14 @@
 namespace pdr {
 namespace {
 
+// Pointwise error probes: a kProbeGrid x kProbeGrid lattice per
+// disagreement rect, at most kMaxProbes per verdict.
+constexpr int kProbeGrid = 4;
+constexpr int kMaxProbes = 512;
+
+// Precision drift: raised when the precision EWMA falls below this.
+constexpr double kMinPrecision = 0.5;
+
 struct AuditMetrics {
   Counter& sampled;
   Counter& disagreements;
@@ -129,16 +137,15 @@ void ShadowAuditor::ProbeDensityError(Tick q_t, const Region& pa_region,
   // the area metrics cannot see.
   const auto [false_rejects, false_accepts] =
       RegionDifferences(fr_region, pa_region);
-  const int g = std::max(1, options_.probe_grid);
-  int budget = std::max(1, options_.max_probes);
+  int budget = kMaxProbes;
   double worst = 0.0;
   int probes = 0;
   for (const Region* diff : {&false_rejects, &false_accepts}) {
     for (const Rect& r : diff->rects()) {
-      for (int iy = 0; iy < g && budget > 0; ++iy) {
-        for (int ix = 0; ix < g && budget > 0; ++ix) {
-          const Vec2 p{r.x_lo + (ix + 0.5) * r.Width() / g,
-                       r.y_lo + (iy + 0.5) * r.Height() / g};
+      for (int iy = 0; iy < kProbeGrid && budget > 0; ++iy) {
+        for (int ix = 0; ix < kProbeGrid && budget > 0; ++ix) {
+          const Vec2 p{r.x_lo + (ix + 0.5) * r.Width() / kProbeGrid,
+                       r.y_lo + (iy + 0.5) * r.Height() / kProbeGrid};
           const double exact = oracle_->PointDensity(q_t, p, options_.l);
           const double approx = approx_density_(q_t, p);
           worst = std::max(worst, std::fabs(approx - exact));
@@ -277,10 +284,9 @@ bool EwmaDriftDetector::ObserveQuality(Tick tick, double precision,
       events_.push_back({tick, "recall", recall_ewma_, options_.min_recall});
       raised = true;
     }
-    if (!precision_drifted_ && precision_ewma_ < options_.min_precision) {
+    if (!precision_drifted_ && precision_ewma_ < kMinPrecision) {
       precision_drifted_ = true;
-      events_.push_back(
-          {tick, "precision", precision_ewma_, options_.min_precision});
+      events_.push_back({tick, "precision", precision_ewma_, kMinPrecision});
       raised = true;
     }
   }

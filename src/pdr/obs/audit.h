@@ -96,8 +96,6 @@ class ShadowAuditor {
     double sample_rate = 0.1;  ///< fraction of offered queries audited
     double l = 30.0;           ///< neighborhood edge (must match PA's l)
     uint64_t seed = 0x5eedda7aULL;  ///< sampling stream seed
-    int probe_grid = 4;   ///< density probes per disagreement rect (grid²)
-    int max_probes = 512; ///< per-verdict probe budget
   };
 
   /// Audits against `fr`, which must be fed the same update stream as the
@@ -184,7 +182,6 @@ class CostCalibrator {
     /// Poisson slack multiplier: cells whose estimated l-square count is
     /// within z·sqrt(count) of the threshold are predicted candidates.
     double z = 2.0;
-    double ewma_alpha = 0.3;  ///< smoothing of the published ratio gauges
   };
 
   explicit CostCalibrator(const FrEngine* fr) : CostCalibrator(fr, Options()) {}
@@ -206,10 +203,10 @@ class CostCalibrator {
   const Options& options() const { return options_; }
 
  private:
+  static constexpr double kEwmaAlpha = 0.3;  // smoothing of the ratio gauges
+
   double Smooth(double ewma, double sample) const {
-    return observations_ <= 1
-               ? sample
-               : ewma + options_.ewma_alpha * (sample - ewma);
+    return observations_ <= 1 ? sample : ewma + kEwmaAlpha * (sample - ewma);
   }
 
   const FrEngine* fr_;
@@ -227,7 +224,6 @@ class EwmaDriftDetector {
   struct Options {
     double alpha = 0.3;        ///< EWMA smoothing factor
     double min_recall = 0.9;   ///< drift when recall EWMA falls below
-    double min_precision = 0.5;///< drift when precision EWMA falls below
     double io_ratio_lo = 0.05; ///< drift when I/O ratio EWMA leaves
     double io_ratio_hi = 20.0; ///<   [io_ratio_lo, io_ratio_hi]
     int warmup = 3;  ///< samples per signal before its flag may raise

@@ -51,11 +51,6 @@ SloMonitor::SloMonitor(const Options& options) : options_(options) {
   signals_.emplace_back("audit", options_);
 }
 
-void SloMonitor::OnResult(const TieredResult& result) {
-  OnSample(result.elapsed_ms, result.tier,
-           result.tier == AnswerTier::kShed);
-}
-
 void SloMonitor::OnSample(double elapsed_ms, AnswerTier tier, bool shed) {
   ++samples_;
   if (options_.latency_slo_ms > 0.0) {
@@ -67,7 +62,7 @@ void SloMonitor::OnSample(double elapsed_ms, AnswerTier tier, bool shed) {
 }
 
 void SloMonitor::OnAudit(double precision, double recall) {
-  Feed(&signals_[3], precision < options_.min_audit_precision ||
+  Feed(&signals_[3], precision < kMinAuditPrecision ||
                          recall < options_.min_audit_recall);
   MaybeRecover();
 }

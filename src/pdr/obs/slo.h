@@ -43,10 +43,12 @@ namespace pdr {
 
 class AdmissionController;
 enum class AnswerTier : uint8_t;
-struct TieredResult;
 
 class SloMonitor {
  public:
+  /// Audit-signal precision floor: a sampled verdict below it is "bad".
+  static constexpr double kMinAuditPrecision = 0.5;
+
   struct Options {
     /// Latency SLO bound in ms; 0 disables the latency signal.
     double latency_slo_ms = 0.0;
@@ -58,8 +60,7 @@ class SloMonitor {
     /// Alert when a signal's short AND long burn reach this multiple of
     /// the budget.
     double burn_alert = 2.0;
-    /// Audit-signal floors (a sampled verdict below either is "bad").
-    double min_audit_precision = 0.5;
+    /// Audit-signal recall floor (a sampled verdict below it is "bad").
     double min_audit_recall = 0.9;
     /// Divisor applied to the attached admission bound while alerting.
     int admission_backoff = 2;
@@ -76,7 +77,6 @@ class SloMonitor {
   explicit SloMonitor(const Options& options);
 
   /// Feeds one completed serving decision (shed ticks included).
-  void OnResult(const TieredResult& result);
   void OnSample(double elapsed_ms, AnswerTier tier, bool shed);
 
   /// Feeds one sampled shadow-audit verdict.

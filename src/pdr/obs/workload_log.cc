@@ -5,8 +5,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdarg>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "pdr/obs/registry.h"
@@ -158,6 +160,47 @@ WorkloadLogHeader DecodeHeader(ByteReader* reader) {
     h.fft_grid = reader->Get<int32_t>();
   }
   return h;
+}
+
+template <typename T>
+void RequireHeaderRange(const char* field, T value, T lo, T hi,
+                        const std::string& path) {
+  if (value >= lo && value <= hi) return;
+  throw std::runtime_error("workload log: header " + std::string(field) +
+                           " = " + std::to_string(value) + " outside [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) +
+                           "] in " + path);
+}
+
+void RequireHeaderPositive(const char* field, double value,
+                           const std::string& path) {
+  if (std::isfinite(value) && value > 0) return;
+  throw std::runtime_error("workload log: header " + std::string(field) +
+                           " = " + std::to_string(value) +
+                           " is not finite and positive in " + path);
+}
+
+// Rejects a header no serving stack could be built from, before the
+// replayer builds one: the ranges the engine constructors enforce, plus
+// caps on every field that sizes an allocation or starts threads.
+void ValidateHeader(const WorkloadLogHeader& h, const std::string& path) {
+  constexpr int32_t kMaxSide = 4096;
+  RequireHeaderPositive("extent", h.extent, path);
+  RequireHeaderPositive("l", h.l, path);
+  RequireHeaderRange("histogram_side", h.histogram_side, 1, kMaxSide, path);
+  RequireHeaderRange("horizon", h.horizon, 0, int32_t{1} << 16, path);
+  RequireHeaderRange("lookahead", h.lookahead, 0, h.horizon, path);
+  RequireHeaderRange<uint64_t>("buffer_pages", h.buffer_pages, 4,
+                               uint64_t{1} << 22, path);
+  RequireHeaderRange("threads", h.threads, 0, 256, path);
+  RequireHeaderRange<int>("index", h.index,
+                          static_cast<int>(IndexKind::kTprTree),
+                          static_cast<int>(IndexKind::kBxTree), path);
+  RequireHeaderRange("poly_side", h.poly_side, 1, kMaxSide, path);
+  RequireHeaderRange("degree", h.degree, 0, kChebMaxDegree, path);
+  RequireHeaderRange("eval_grid", h.eval_grid, h.poly_side,
+                     std::numeric_limits<int32_t>::max(), path);
+  RequireHeaderRange("fft_grid", h.fft_grid, 1, kMaxSide, path);
 }
 
 // Last path component, for manifest entries.
@@ -473,6 +516,7 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
     switch (rh.type) {
       case kTypeHeader:
         log.header = DecodeHeader(&reader);
+        ValidateHeader(log.header, path);
         saw_header = true;
         break;
       case kTypeUpdates: {
@@ -480,12 +524,24 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
         rec.kind = WorkloadLogRecord::Kind::kUpdates;
         rec.tick = reader.Get<Tick>();
         const uint32_t count = reader.Get<uint32_t>();
+        // Every update takes at least an id and a flags byte, so a count
+        // the payload cannot hold is corrupt; it must not size the reserve.
+        if (count > reader.remaining() / (sizeof(ObjectId) + 1)) {
+          throw std::runtime_error("workload log: updates record count " +
+                                   std::to_string(count) +
+                                   " exceeds its payload in " + path);
+        }
         rec.updates.reserve(count);
         for (uint32_t i = 0; i < count; ++i) {
           UpdateEvent e;
           e.tick = rec.tick;
           e.id = reader.Get<ObjectId>();
           const uint8_t flags = reader.Get<uint8_t>();
+          if (flags == 0 || flags > 3) {
+            throw std::runtime_error("workload log: update flags " +
+                                     std::to_string(flags) +
+                                     " not in [1, 3] in " + path);
+          }
           if (flags & 1) e.old_state = GetMotionState(&reader);
           if (flags & 2) e.new_state = GetMotionState(&reader);
           rec.updates.push_back(std::move(e));

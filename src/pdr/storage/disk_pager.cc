@@ -22,11 +22,8 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-DiskPager::DiskPager(const std::string& dir, FaultInjector* injector,
-                     const WalOptions& wal_options)
-    : dir_(dir),
-      injector_(injector),
-      wal_(dir + "/wal.log", wal_options, injector) {
+DiskPager::DiskPager(const std::string& dir, FaultInjector* injector)
+    : dir_(dir), injector_(injector), wal_(dir + "/wal.log", injector) {
   data_.Open(dir + "/data.pdr", "data", injector);
   const uint64_t size = data_.Size();
   if (size < sizeof(DataFileHeader)) {

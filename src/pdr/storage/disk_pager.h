@@ -112,8 +112,8 @@ class DiskPager : public Pager {
  public:
   /// Opens (creating or recovering) the store in directory `dir`, which
   /// must already exist. `injector` may be null (no fault injection).
-  explicit DiskPager(const std::string& dir, FaultInjector* injector = nullptr,
-                     const WalOptions& wal_options = {});
+  explicit DiskPager(const std::string& dir,
+                     FaultInjector* injector = nullptr);
 
   // Pager interface — mirror-backed; no file I/O except when ReadPage
   // catches a checksum mismatch and self-heals from the data slot.

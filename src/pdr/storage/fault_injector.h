@@ -115,13 +115,12 @@ class FaultInjector {
   explicit FaultInjector(uint64_t seed = 0) : seed_(seed) {}
 
   /// Arms a crash at fault point `point` (0-based, counted across every
-  /// intercepted operation since construction or the last ResetCount).
+  /// intercepted operation since construction).
   void Arm(int64_t point, CrashMode mode) {
     crash_at_ = point;
     mode_ = mode;
     fired_ = false;
   }
-  void Disarm() { crash_at_ = -1; }
 
   /// Arms transient failures at the `failures` consecutive fault points
   /// starting at `point`: each reports kTransientFail and the operation is
@@ -159,7 +158,6 @@ class FaultInjector {
     corrupt_mode_ = mode;
     corrupt_fired_ = false;
   }
-  void DisarmCorrupt() { corrupt_at_ = -1; }
 
   /// Whether the armed corruption point has fired. Sweeps assert this to
   /// distinguish "damage was injected and healed" from "the armed point
@@ -227,10 +225,6 @@ class FaultInjector {
   /// Fault points seen so far (armed or not); a fault-free run's total is
   /// the sweep size.
   int64_t ops_seen() const { return ops_seen_; }
-  void ResetCount() {
-    ops_seen_ = 0;
-    op_log_.clear();
-  }
 
   /// Names of the operations seen, in order (e.g. "wal.write",
   /// "wal.sync", "data.write", "data.sync", "ckpt.write", "ckpt.sync",

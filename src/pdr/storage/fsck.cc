@@ -134,7 +134,7 @@ FsckReport RunFsck(const std::string& dir, const FsckOptions& options) {
 
   // WAL: committed batches both supersede the checkpoint state and supply
   // the redo images that make damaged slots repairable.
-  Wal wal(dir + "/wal.log", WalOptions{}, nullptr);
+  Wal wal(dir + "/wal.log", nullptr);
   const Wal::ScanResult scan = wal.Scan();
   report.wal_torn_tail = scan.torn_tail;
   report.wal_interior_corruption = scan.interior_corruption;

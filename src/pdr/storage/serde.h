@@ -59,7 +59,6 @@ class ByteReader {
   }
 
   size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
   std::string_view data_;

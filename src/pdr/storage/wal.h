@@ -39,12 +39,6 @@ namespace pdr {
 
 using Lsn = uint64_t;
 
-struct WalOptions {
-  /// Buffered bytes that trigger an intermediate (non-fsync) flush to the
-  /// file. Larger values = fewer write syscalls per checkpoint.
-  size_t group_commit_bytes = 256 * 1024;
-};
-
 /// Cumulative writer-side statistics (exported to the metrics registry as
 /// pdr.wal.* as well).
 struct WalStats {
@@ -98,8 +92,7 @@ class Wal {
   /// A reopened log that still holds record bytes refuses Append* (throws
   /// std::logic_error) until Reset() repositions it: appending after a
   /// possibly-torn region would leave records Scan can never reach.
-  Wal(const std::string& path, const WalOptions& options,
-      FaultInjector* injector);
+  Wal(const std::string& path, FaultInjector* injector);
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -148,7 +141,6 @@ class Wal {
   void FlushBuffer();
 
   StorageFile file_;
-  WalOptions options_;
   std::string buffer_;      // appended records not yet written to the file
   uint64_t file_end_ = 0;   // bytes of the file already written
   Lsn next_lsn_ = 0;

@@ -88,6 +88,35 @@ TEST(DatasetIoTest, TruncationRejected) {
   }
 }
 
+TEST(DatasetIoTest, HugeDeclaredCountsHitTruncationBeforeAllocating) {
+  // A few bytes can declare 2^28 - 1 updates (about 28 GB of events) or
+  // 2^24 ticks; the decoder must find the stream truncated, not try to
+  // allocate for the claim first (std::bad_alloc is no runtime_error).
+  Dataset one_tick;
+  one_tick.config = SmallConfig();
+  one_tick.ticks.emplace_back();
+  std::stringstream buffer;
+  WriteDataset(one_tick, buffer);
+  const std::string bytes = buffer.str();
+  // The stream ends with the tick count (1) and the one batch's count (0).
+  const auto patched = [&](size_t from_end, uint32_t value) {
+    std::string out = bytes;
+    std::memcpy(out.data() + out.size() - from_end, &value, sizeof(value));
+    return out;
+  };
+  for (const std::string& corrupt :
+       {patched(4, (1u << 28) - 1), patched(8, 1u << 24)}) {
+    std::stringstream in(corrupt);
+    try {
+      ReadDataset(in);
+      ADD_FAILURE() << "a truncated stream loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DatasetIoTest, MissingFileThrows) {
   EXPECT_THROW(LoadDataset("/nonexistent/path/to/dataset.pdrd"),
                std::runtime_error);

@@ -609,8 +609,7 @@ bool RunMvccScenario(const MvccScenario& s, int objects, int readers,
   for (Tick now = 0; now <= ds.duration(); ++now) {
     fr.AdvanceTo(now);
     for (const UpdateEvent& e : ds.ticks[now]) fr.Apply(e);
-    fr.PrepareCommit();
-    snapshots.Commit({fr.CaptureState(), nullptr});
+    fr.Commit();
     const int queries = static_cast<int>(rng.UniformInt(0, 2));
     for (int q = 0; q < queries; ++q) {
       Work w;

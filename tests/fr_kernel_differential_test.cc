@@ -1407,8 +1407,7 @@ TEST(DifferentialTest, FrGroupedFetchMatchesPerCellQueriesAcrossWidths) {
       options.snapshots = &snapshots;
       FrEngine fr(options);
       for (const UpdateEvent& e : FetchObjects(l, 29)) fr.Apply(e);
-      fr.PrepareCommit();
-      snapshots.Commit({fr.CaptureState(), nullptr});
+      fr.Commit();
       // n_min a little above the mean l-square count, so cells of every
       // class appear.
       const double rho = 1.5 * static_cast<double>(fr.index().size()) /

@@ -75,10 +75,7 @@ struct MvccRig {
                           .snapshots = &snapshots});
   }
 
-  mvcc::Epoch Commit() {
-    fr->PrepareCommit();
-    return snapshots.Commit({fr->CaptureState(), nullptr});
-  }
+  mvcc::Epoch Commit() { return fr->Commit(); }
 };
 
 Dataset StreamDataset(uint64_t seed, int objects = 150, int duration = 18) {
@@ -304,6 +301,23 @@ TEST(MvccInterleaveTest, CancelledSnapshotQueryReleasesPinCleanly) {
 TEST(MvccInterleaveTest, PinBeforeFirstCommitThrows) {
   mvcc::SnapshotManager snapshots;
   EXPECT_THROW(snapshots.Pin(), std::logic_error);
+}
+
+TEST(MvccInterleaveTest, CommitWithoutSnapshotsThrows) {
+  FrEngine fr(FrEngine::Options{.extent = kExtent,
+                                .histogram_side = 16,
+                                .horizon = 24,
+                                .buffer_pages = 64});
+  EXPECT_THROW(fr.Commit(), std::logic_error);
+}
+
+TEST(MvccInterleaveTest, CommitReturnsTheEpochItPublished) {
+  MvccRig rig;
+  EXPECT_EQ(rig.Commit(), 1u);
+  rig.fr->AdvanceTo(1);
+  EXPECT_EQ(rig.Commit(), 2u);
+  EXPECT_EQ(rig.snapshots.committed_epoch(), 2u);
+  EXPECT_EQ(rig.snapshots.Pin().epoch(), 2u);
 }
 
 TEST(MvccInterleaveTest, HorizonValidatesAgainstFrozenClockNotLive) {

@@ -126,14 +126,13 @@ SoakOutcome RunSoak(uint64_t seed, int readers, Tick duration) {
   for (Tick now = 0; now <= ds.duration(); ++now) {
     fr.AdvanceTo(now);
     for (const UpdateEvent& e : ds.ticks[now]) fr.Apply(e);
-    fr.PrepareCommit();
     const uint64_t digest =
         ResultDigest(fr.Query(now + lookahead, rho, l));
     {
       std::lock_guard<std::mutex> lock(ref_mu);
       reference[snapshots.open_epoch()] = digest;
     }
-    snapshots.Commit({fr.CaptureState(), nullptr});
+    fr.Commit();
     if (now == 0) {
       for (int r = 0; r < readers; ++r) pool.emplace_back(reader_loop, r);
     }
@@ -182,8 +181,7 @@ TEST(MvccSoakTest, WriterNeverBlocksOnPinnedReader) {
   for (const UpdateEvent& e : MakeUniformInserts(100, kExtent, 1.5, 5)) {
     fr.Apply(e);
   }
-  fr.PrepareCommit();
-  snapshots.Commit({fr.CaptureState(), nullptr});
+  fr.Commit();
   mvcc::Snapshot pin = snapshots.Pin();
 
   std::atomic<bool> stop{false};
@@ -196,8 +194,7 @@ TEST(MvccSoakTest, WriterNeverBlocksOnPinnedReader) {
   });
   for (Tick now = 1; now <= 25; ++now) {
     fr.AdvanceTo(now);
-    fr.PrepareCommit();
-    snapshots.Commit({fr.CaptureState(), nullptr});
+    fr.Commit();
   }
   stop.store(true, std::memory_order_release);
   reader.join();

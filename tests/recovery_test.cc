@@ -275,7 +275,7 @@ TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
 
   // At-rest damage on a slot the committed batch covers (scanning the WAL
   // tells us which pages those are, exactly as recovery will).
-  Wal wal(dir.path() + "/wal.log", WalOptions{}, nullptr);
+  Wal wal(dir.path() + "/wal.log", nullptr);
   const Wal::ScanResult scan = wal.Scan();
   ASSERT_FALSE(scan.batches.empty());
   const PageId covered = scan.batches.back().pages.front().id;

@@ -169,7 +169,7 @@ TEST(FaultInjectorTest, FiresExactlyOnce) {
 
 TEST(WalTest, AppendScanRoundTrip) {
   TempDir dir;
-  Wal wal(dir.File("wal.log"), WalOptions{}, nullptr);
+  Wal wal(dir.File("wal.log"), nullptr);
   const Page a = MakePage(0xaa);
   const Page b = MakePage(0xbb);
   wal.AppendPage(3, a);
@@ -198,7 +198,7 @@ TEST(WalTest, AppendScanRoundTrip) {
 
 TEST(WalTest, UncommittedTailIsDiscarded) {
   TempDir dir;
-  Wal wal(dir.File("wal.log"), WalOptions{}, nullptr);
+  Wal wal(dir.File("wal.log"), nullptr);
   wal.AppendPage(0, MakePage(1));
   wal.AppendCommit("committed");
   wal.AppendPage(1, MakePage(2));  // no commit follows
@@ -216,7 +216,7 @@ TEST(WalTest, TruncatedTailStopsScanCleanly) {
   const std::string path = dir.File("wal.log");
   uint64_t full_size = 0;
   {
-    Wal wal(path, WalOptions{}, nullptr);
+    Wal wal(path, nullptr);
     wal.AppendPage(0, MakePage(1));
     wal.AppendCommit("one");
     wal.AppendPage(1, MakePage(2));
@@ -230,7 +230,7 @@ TEST(WalTest, TruncatedTailStopsScanCleanly) {
     f.Open(path, "t", nullptr);
     f.Truncate(full_size - kPageSize / 2);
   }
-  Wal wal(path, WalOptions{}, nullptr);
+  Wal wal(path, nullptr);
   const Wal::ScanResult scan = wal.Scan();
   ASSERT_EQ(scan.batches.size(), 1u);
   EXPECT_EQ(scan.batches[0].commit_payload, "one");
@@ -244,7 +244,7 @@ TEST(WalTest, CorruptChecksumStopsScan) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   {
-    Wal wal(path, WalOptions{}, nullptr);
+    Wal wal(path, nullptr);
     wal.AppendPage(0, MakePage(1));
     wal.AppendCommit("one");
     wal.AppendPage(1, MakePage(2));
@@ -264,7 +264,7 @@ TEST(WalTest, CorruptChecksumStopsScan) {
     char byte = 0x7f;
     f.write(&byte, 1);
   }
-  Wal wal(path, WalOptions{}, nullptr);
+  Wal wal(path, nullptr);
   const Wal::ScanResult scan = wal.Scan();
   ASSERT_EQ(scan.batches.size(), 1u);
   EXPECT_EQ(scan.batches[0].commit_payload, "one");
@@ -279,7 +279,7 @@ TEST(WalTest, DamagedFinalRecordIsTornNotInterior) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   {
-    Wal wal(path, WalOptions{}, nullptr);
+    Wal wal(path, nullptr);
     wal.AppendPage(0, MakePage(1));
     wal.AppendCommit("one");
     wal.AppendPage(1, MakePage(2));
@@ -296,7 +296,7 @@ TEST(WalTest, DamagedFinalRecordIsTornNotInterior) {
     char byte = 0x7f;
     f.write(&byte, 1);
   }
-  Wal wal(path, WalOptions{}, nullptr);
+  Wal wal(path, nullptr);
   const Wal::ScanResult scan = wal.Scan();
   ASSERT_EQ(scan.batches.size(), 1u);
   EXPECT_TRUE(scan.torn_tail);
@@ -305,7 +305,7 @@ TEST(WalTest, DamagedFinalRecordIsTornNotInterior) {
 
 TEST(WalTest, ResetEmptiesLogAndKeepsLsnMonotone) {
   TempDir dir;
-  Wal wal(dir.File("wal.log"), WalOptions{}, nullptr);
+  Wal wal(dir.File("wal.log"), nullptr);
   wal.AppendPage(0, MakePage(1));
   wal.AppendCommit("one");
   wal.Sync();
@@ -327,12 +327,12 @@ TEST(WalTest, AppendOnReopenedNonEmptyLogRequiresReset) {
   TempDir dir;
   const std::string path = dir.File("wal.log");
   {
-    Wal wal(path, WalOptions{}, nullptr);
+    Wal wal(path, nullptr);
     wal.AppendPage(0, MakePage(1));
     wal.AppendCommit("one");
     wal.Sync();
   }
-  Wal wal(path, WalOptions{}, nullptr);
+  Wal wal(path, nullptr);
   // Blind appends would land beyond record bytes Scan may not be able to
   // cross (duplicate LSNs after a torn region): refuse until Reset.
   EXPECT_THROW(wal.AppendPage(1, MakePage(2)), std::logic_error);
@@ -349,7 +349,7 @@ TEST(WalTest, AppendOnReopenedNonEmptyLogRequiresReset) {
 
 TEST(WalTest, GroupCommitIsOneFsyncPerSync) {
   TempDir dir;
-  Wal wal(dir.File("wal.log"), WalOptions{}, nullptr);
+  Wal wal(dir.File("wal.log"), nullptr);
   for (int i = 0; i < 50; ++i) wal.AppendPage(static_cast<PageId>(i),
                                               MakePage(static_cast<uint8_t>(i)));
   wal.AppendCommit("batch");

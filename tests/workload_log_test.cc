@@ -12,12 +12,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "pdr/core/monitor.h"
 #include "pdr/mobility/generator.h"
 #include "pdr/obs/workload_log.h"
 #include "pdr/replay/replayer.h"
+#include "pdr/storage/serde.h"
 
 namespace pdr {
 namespace {
@@ -195,6 +197,89 @@ TEST(WorkloadLogTest, InteriorCorruptionIsRejected) {
   const std::string bad_path = dir.path() + "/bad.wlog";
   WriteAll(bad_path, bytes);
   EXPECT_THROW(WorkloadLog::Load(bad_path), std::runtime_error);
+}
+
+void ExpectLoadRejects(const std::string& path, const std::string& field) {
+  try {
+    WorkloadLog::Load(path);
+    ADD_FAILURE() << path << " loaded; expected a rejection naming " << field;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WorkloadLogTest, OutOfRangeHeaderFieldsAreRejectedAtLoad) {
+  // Each mutant would size an allocation, start threads or overflow a
+  // cell count in the engines a replay builds; Load refuses it first.
+  TempDir dir;
+  const auto reject = [&](const char* field, auto mutate) {
+    WorkloadLogHeader header = SmallHeader();
+    mutate(header);
+    const std::string path = dir.path() + "/" + field + ".wlog";
+    { WorkloadRecorder recorder(path, header); }
+    ExpectLoadRejects(path, field);
+  };
+  reject("histogram_side", [](auto& h) { h.histogram_side = 1 << 20; });
+  reject("threads", [](auto& h) { h.threads = 100000; });
+  reject("buffer_pages", [](auto& h) { h.buffer_pages = 1; });
+  reject("index", [](auto& h) { h.index = 9; });
+  reject("poly_side", [](auto& h) { h.poly_side = 0; });
+  reject("fft_grid", [](auto& h) { h.fft_grid = 1 << 20; });
+  reject("degree", [](auto& h) { h.degree = 99; });
+  reject("lookahead", [](auto& h) { h.lookahead = h.horizon + 1; });
+  reject("extent", [](auto& h) { h.extent = std::nan(""); });
+}
+
+// Overwrites `value` at `offset` into the payload of the log's first
+// updates record and reseals the record's checksum the way the recorder
+// computes it, so the decoder sees a well-formed record with one bad field.
+void PatchUpdatesRecord(std::string* bytes, size_t offset,
+                        const void* value, size_t size) {
+  constexpr size_t kFileHeader = 8;
+  constexpr size_t kRecordHeader = 24;  // magic, type, pad, len, pad, fnv
+  uint32_t header_len = 0;
+  std::memcpy(&header_len, bytes->data() + kFileHeader + 8,
+              sizeof(header_len));
+  const size_t rec = kFileHeader + kRecordHeader + header_len;
+  const uint8_t type = static_cast<uint8_t>((*bytes)[rec + 4]);
+  ASSERT_EQ(type, 2) << "second record is not the updates record";
+  uint32_t payload_len = 0;
+  std::memcpy(&payload_len, bytes->data() + rec + 8, sizeof(payload_len));
+  char* payload = bytes->data() + rec + kRecordHeader;
+  std::memcpy(payload + offset, value, size);
+  uint64_t checksum = Fnv1a64(&type, sizeof(type));
+  checksum = Fnv1a64(&payload_len, sizeof(payload_len), checksum);
+  checksum = Fnv1a64(payload, payload_len, checksum);
+  std::memcpy(bytes->data() + rec + 16, &checksum, sizeof(checksum));
+}
+
+TEST(WorkloadLogTest, ResealedUpdatesRecordWithBadCountOrFlagsIsRejected) {
+  TempDir dir;
+  const std::string path = dir.path() + "/run.wlog";
+  {
+    WorkloadRecorder recorder(path, SmallHeader());
+    recorder.OnUpdates(0, SmallDataset().ticks[0]);
+  }
+  ASSERT_NO_THROW(WorkloadLog::Load(path));
+  const std::string bytes = ReadAll(path);
+
+  // Payload: tick, count, then per update its id and flags byte.
+  const std::string count_path = dir.path() + "/count.wlog";
+  std::string count_bytes = bytes;
+  const uint32_t count = 0xFFFFFFFFu;
+  PatchUpdatesRecord(&count_bytes, sizeof(Tick), &count, sizeof(count));
+  WriteAll(count_path, count_bytes);
+  ExpectLoadRejects(count_path, "count");
+
+  const std::string flags_path = dir.path() + "/flags.wlog";
+  std::string flags_bytes = bytes;
+  const uint8_t flags = 0;
+  PatchUpdatesRecord(&flags_bytes,
+                     sizeof(Tick) + sizeof(uint32_t) + sizeof(ObjectId),
+                     &flags, sizeof(flags));
+  WriteAll(flags_path, flags_bytes);
+  ExpectLoadRejects(flags_path, "flags");
 }
 
 TEST(WorkloadLogTest, BadMagicAndMissingFileAreRejected) {
